@@ -56,6 +56,10 @@ def _parse_point(text: str, model: Model) -> Point:
         raise UsageError('points are JSON arrays of rationals, e.g. \'["1/2","0/1"]\'')
     if len(raw) != model.dimension:
         raise UsageError(f"point has {len(raw)} coordinates, model dimension is {model.dimension}")
+    for c in raw:
+        # As in .mbs files: a JSON float is almost never the rational meant.
+        if isinstance(c, bool) or not isinstance(c, (str, int)):
+            raise UsageError(f"bad coordinate {c!r}: rationals are 'p/q' strings (or integers)")
     return Point(tuple(_parse_rational(str(c)) for c in raw))
 
 

@@ -9,13 +9,18 @@ and x causally precedes y when the interval is nonpositive and x is not
 later than y.  Everything here is computed with `fractions.Fraction`, so
 every predicate is exactly decidable; floats are rejected at construction
 time rather than silently truncated.
+
+Enumeration loops that test one point against many use the integer form
+(D, nums) of each point instead: D is the lcm of its coordinate
+denominators and nums its coordinates times D.  `integer_lt` decides `lt`
+on two such forms with integer arithmetic alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import DimensionMismatch
 
@@ -113,6 +118,38 @@ def lt(x: Point, y: Point) -> bool:
     Lightlike-related distinct points count; the cone is closed.
     """
     return x != y and leq(x, y)
+
+
+#: A point's integer form: (D, nums) with coords == tuple(n / D for n in nums).
+IntegerForm = tuple[int, tuple[int, ...]]
+
+
+def integer_form(x: Point) -> IntegerForm:
+    """The integer form (D, nums) of x, with D the lcm of its denominators."""
+    d = lcm(*(c.denominator for c in x.coords))
+    return d, tuple(c.numerator * (d // c.denominator) for c in x.coords)
+
+
+def integer_lt(m: IntegerForm, x: IntegerForm) -> bool:
+    """lt on integer forms: m strictly precedes x.
+
+    With dt = x0*Dm - m0*Dx, this holds exactly when dt > 0 and
+    sum_i (xi*Dm - mi*Dx)**2 <= dt**2: both sides of `interval` scaled by
+    (Dm*Dx)**2.  dt > 0 already makes the points distinct.  Any common
+    denominator serves as D, not only the lcm: scaling a form by k scales
+    both sides by k**2.  The forms must have the same dimension; callers
+    check that once per scan.
+    """
+    dm, mn = m
+    dx, xn = x
+    dt = xn[0] * dm - mn[0] * dx
+    if dt <= 0:
+        return False
+    spread = 0
+    for i in range(1, len(xn)):
+        d = xn[i] * dm - mn[i] * dx
+        spread += d * d
+    return spread <= dt * dt
 
 
 def slr(x: Point, y: Point) -> bool:

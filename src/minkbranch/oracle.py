@@ -7,6 +7,13 @@ above them still in the overlap.  No closed-form family query is consulted,
 which is the point: the oracle is the independent side of the agreement
 obligation on the analytic decision procedures.
 
+The enumeration runs on integer forms of the points
+(`minkowski.integer_form`), each built once per scan, and compares them
+with `minkowski.integer_lt`, the exact integer statement of `lt`.  Only
+the arithmetic is cheaper: the same members are tested against the same
+points, each test answers as `lt` would, and the forms are taken from the
+enumerated points, never from a family's closed form.
+
 Two honesty devices keep the enumeration meaningful:
 
 * truncation adequacy: per family kind, an exact bound on the member index
@@ -28,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from . import events, minkowski
-from .errors import GridBudgetExceeded
+from .errors import DimensionMismatch, GridBudgetExceeded
 from .events import LabeledPoint
-from .families import FiniteFamily, HarmonicPair, IntegerRow, SplittingFamily
+from .families import HarmonicPair, IntegerRow, SplittingFamily
 from .histories import is_choice_point
-from .minkowski import Point, lt, rational
+from .minkowski import IntegerForm, Point, integer_form, integer_lt, rational
 from .model import BranchingModel, ScenarioId
 from .reporting import Report
 
@@ -95,6 +102,24 @@ def member_list(family: SplittingFamily, truncate: int) -> list[Point]:
     return list(family.members(limit=truncate))
 
 
+def _member_forms(family: SplittingFamily, grid: GridSpec) -> tuple[IntegerForm, ...]:
+    """Integer forms of the truncated members, checked against the grid's dimension."""
+    members = member_list(family, grid.truncate)
+    for m in members:
+        if m.dimension != grid.dimension:
+            raise DimensionMismatch(
+                f"points have dimensions {m.dimension} and {grid.dimension}")
+    return tuple(integer_form(m) for m in members)
+
+
+def _any_below(forms: tuple[IntegerForm, ...], x: IntegerForm) -> bool:
+    """Some form in `forms` strictly precedes x."""
+    for m in forms:
+        if integer_lt(m, x):
+            return True
+    return False
+
+
 def _min_positive_on_lattice(base: Fraction, step: Fraction, count: int) -> Fraction | None:
     """Smallest positive value of {base + k*step : 0 <= k < count}, if any."""
     if count <= 0:
@@ -151,6 +176,8 @@ class OverlapScan:
     points: frozenset[Point]
     adequate: bool
     note: str
+    #: Integer forms of the truncated members the scan tested.
+    member_forms: tuple[IntegerForm, ...] = field(compare=False, repr=False)
 
 
 def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
@@ -159,11 +186,11 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     model.require_scenario(a)
     model.require_scenario(b)
     family = model.family(a, b)
-    members = member_list(family, grid.truncate)
+    members = _member_forms(family, grid)
     adequate, note = truncation_adequacy(family, grid)
     kept = frozenset(
-        x for x in grid.points() if not any(lt(m, x) for m in members))
-    return OverlapScan(kept, adequate, note)
+        x for x in grid.points() if not _any_below(members, integer_form(x)))
+    return OverlapScan(kept, adequate, note, members)
 
 
 def boundary_flagged(grid: GridSpec, x: Point) -> bool:
@@ -185,35 +212,46 @@ class ChoiceScan:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _refinement_witness(x: Point, members: list[Point], grid: GridSpec,
+def _check_refine(refine_factor: int) -> None:
+    if refine_factor < 1:
+        raise ValueError(f"refinement factor must be at least 1, got {refine_factor}")
+
+
+def _refinement_witness(x: Point, members: tuple[IntegerForm, ...], grid: GridSpec,
                         factor: int) -> Point | None:
     """A point strictly above x, inside the box, with no member below it.
 
-    Probes the factor-times-finer lattice up to one grid step above x.
+    Probes the factor-times-finer lattice up to one grid step above x: the
+    points x + fine * (kt, j1, ...) with |j| <= kt, built directly as
+    integer forms over a common denominator of x and the fine step.
     """
     fine = grid.step / factor
-    spatial_axes = grid.dimension - 1
-    for kt in range(1, factor + 1):
-        eps = fine * kt
-        eps_sq = eps * eps
-        for offsets in product(range(-kt, kt + 1), repeat=spatial_axes):
-            delta = tuple(fine * j for j in offsets)
-            if sum(d * d for d in delta) > eps_sq:
+    dx, xn = integer_form(x)
+    den = lcm(dx, fine.denominator)
+    base = [n * (den // dx) for n in xn]
+    unit = fine.numerator * (den // fine.denominator)
+    # Offsets, in fine steps, that keep the probe inside the box.
+    t_room = min(factor, floor((grid.box[0][1] - x.coords[0]) / fine))
+    room = [(ceil((lo - c) / fine), floor((hi - c) / fine))
+            for c, (lo, hi) in zip(x.coords[1:], grid.box[1:])]
+    for kt in range(1, t_room + 1):
+        axes = [range(max(lo, -kt), min(hi, kt) + 1) for lo, hi in room]
+        for offsets in product(*axes):
+            if sum(j * j for j in offsets) > kt * kt:
                 continue
-            z = x.translated((eps,) + delta)
-            if not grid.contains(z):
-                continue
-            if not any(lt(m, z) for m in members):
-                return z
+            z = (base[0] + unit * kt,) + tuple(
+                n + unit * j for n, j in zip(base[1:], offsets))
+            if not _any_below(members, (den, z)):
+                return Point(tuple(Fraction(n, den) for n in z))
     return None
 
 
 def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
                          grid: GridSpec, refine_factor: int = 8) -> ChoiceScan:
     """Grid points maximal in the scanned overlap, refinement-verified."""
+    _check_refine(refine_factor)
     scan = oracle_overlap(model, a, b, grid)
     family = model.family(a, b)
-    members = member_list(family, grid.truncate)
     if grid.dimension > 2:
         refine_factor = min(refine_factor, 4)
 
@@ -225,16 +263,12 @@ def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     if not fine_ok:
         notes.append(f"refinement truncation not provably adequate: {fine_note}")
 
+    forms = [integer_form(x) for x in by_time]
     candidates = []
     for i, x in enumerate(by_time):
-        dominated = False
-        for z in by_time[i + 1:]:
-            if z.coords[0] > x.coords[0] and lt(x, z):
-                dominated = True
-                break
-        if dominated:
+        if any(integer_lt(forms[i], z) for z in forms[i + 1:]):
             continue
-        if _refinement_witness(x, members, grid, refine_factor) is not None:
+        if _refinement_witness(x, scan.member_forms, grid, refine_factor) is not None:
             continue
         candidates.append(x)
 
@@ -252,6 +286,7 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
     spot checks re-evaluated from the definition (Minkowski order plus
     scanned overlap membership).
     """
+    _check_refine(refine_factor)
     report = Report("oracle-cross-check")
     if pairs is None:
         labels = model.scenario_list()
@@ -262,7 +297,8 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
     grid_pts = grid.points()
     for a, b in pairs:
         tag = f"{a}|{b}"
-        scan = oracle_overlap(model, a, b, grid)
+        choice = oracle_choice_points(model, a, b, grid, refine_factor=refine_factor)
+        scan = choice.overlap
         if not scan.adequate:
             report.note(f"{tag}: {scan.note}")
         overlap_bad = [
@@ -273,7 +309,6 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
                    f"{len(grid_pts)} grid points" if not overlap_bad
                    else f"{len(overlap_bad)} disagreements; first {overlap_bad[0]!r}")
 
-        choice = oracle_choice_points(model, a, b, grid, refine_factor=refine_factor)
         for note in choice.notes:
             report.note(f"{tag}: {note}")
         cand = set(choice.candidates)

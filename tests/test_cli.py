@@ -123,6 +123,37 @@ def test_oracle_command_with_csv(capsys, tmp_path, two_path):
     assert len(lines) == 26
 
 
+def test_oracle_refine_below_one_is_usage_error(capsys, two_path):
+    for factor in ("0", "-1"):
+        code, out, err = run(capsys, [
+            "oracle", "--model", two_path, "--box", "-1,1", "-1,1", "--step", "1/2",
+            "--refine", factor,
+        ])
+        assert (code, out) == (2, "")
+        assert "refinement factor must be at least 1" in err
+
+
+def test_float_coordinates_are_usage_errors(capsys, two_path):
+    for text in ('[1.5, 0]', '["1/2", 0.0]', '[true, 0]'):
+        code, out, err = run(capsys, [
+            "query", "overlap", "--model", two_path, "--pair", "s1,s2", "--point", text,
+        ])
+        assert (code, out) == (2, ""), text
+        assert "bad coordinate" in err
+    code, out, err = run(capsys, [
+        "query", "order", "--model", two_path,
+        "--a", '{"point": [-1.5, 0], "scenario": "s1"}',
+        "--b", '{"point": ["0/1", "0/1"], "scenario": "s2"}',
+    ])
+    assert (code, out) == (2, "")
+    assert "bad coordinate" in err
+    # integers stay accepted
+    code, out, _ = run(capsys, [
+        "query", "overlap", "--model", two_path, "--pair", "s1,s2", "--point", "[-1, 0]",
+    ])
+    assert (code, out.strip()) == (0, "true")
+
+
 def test_plot_command(capsys, tmp_path, harmonic_path):
     svg_path = tmp_path / "region.svg"
     csv_path = tmp_path / "region.csv"

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from minkbranch.minkowski import (
     between,
     common_upper_bound,
     comparable,
+    integer_form,
+    integer_lt,
     interval,
     leq,
     lift_above,
@@ -60,6 +64,64 @@ def test_order_examples():
 def test_order_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         leq(point(0, 0), point(0, 0, 0))
+
+
+def test_integer_form_example():
+    x = point(F(-3, 4), 2, F(5, 6))
+    assert integer_form(x) == (12, (-9, 24, 10))
+    assert integer_form(point(0, 0)) == (1, (0, 0))
+
+
+# Integer spatial offsets of length 1, 5 and 7 in dimensions 2, 3 and 4:
+# time offsets of that length make lightlike pairs exactly.
+LIGHTLIKE = {2: ((1,), 1), 3: ((3, 4), 5), 4: ((2, 3, 6), 7)}
+
+
+def _random_pair(rng: random.Random, dimension: int) -> tuple[Point, Point]:
+    def rat() -> F:
+        return F(rng.randint(-3000, 3000), rng.randint(1, 1000))
+
+    x = Point(tuple(rat() for _ in range(dimension)))
+    kind = rng.randrange(5)
+    if kind == 0:      # equal points
+        return x, Point(x.coords)
+    if kind == 1:      # same time
+        return x, Point((x.time,) + tuple(rat() for _ in range(dimension - 1)))
+    spatial, length = LIGHTLIKE[dimension]
+    scale = F(rng.choice((-1, 1)), rng.randint(1, 1000))
+    signs = [rng.choice((-1, 1)) for _ in spatial]
+    delta = [scale * length] + [scale * s * c for s, c in zip(signs, spatial)]
+    if kind == 3:      # just inside or just outside the light cone
+        delta[0] += F(rng.choice((-1, 1)), rng.randint(1, 1000) ** 2)
+    elif kind == 4:    # anywhere
+        delta = [rat() for _ in range(dimension)]
+    return x, x.translated(tuple(delta))
+
+
+def test_integer_lt_matches_lt_on_random_rational_pairs():
+    rng = random.Random(20070611)
+    outcomes = {True: 0, False: 0}
+    lightlike_below = 0
+    for dimension in (2, 3, 4):
+        for _ in range(2000):
+            x, y = _random_pair(rng, dimension)
+            for m, z in ((x, y), (y, x)):
+                expected = lt(m, z)
+                assert integer_lt(integer_form(m), integer_form(z)) == expected, (m, z)
+                outcomes[expected] += 1
+                lightlike_below += expected and interval(m, z) == 0
+    assert min(outcomes.values()) > 1000
+    assert lightlike_below > 100
+
+
+def test_integer_lt_accepts_any_common_denominator():
+    rng = random.Random(5)
+    for _ in range(500):
+        x, y = _random_pair(rng, rng.randint(2, 4))
+        d, nums = integer_form(y)
+        k = rng.randint(2, 50)
+        assert integer_lt(integer_form(x), (d * k, tuple(n * k for n in nums))) == lt(x, y)
+        assert lcm(*(c.denominator for c in y.coords)) == d
 
 
 def test_lift_above_plane_example():

@@ -109,6 +109,47 @@ def test_refinement_keeps_true_emergent_candidate(harmonic_model):
     assert point(0, 0) not in scan.flagged
 
 
+def test_refine_factor_below_one_is_rejected(two_scenario_model):
+    grid = GridSpec(((-1, 1), (-1, 1)), F(1, 2))
+    for factor in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            oracle_choice_points(two_scenario_model, "s1", "s2", grid, refine_factor=factor)
+        with pytest.raises(ValueError, match="at least 1"):
+            oracle_cross_check(two_scenario_model, grid, refine_factor=factor)
+
+
+def test_cross_check_scans_each_pair_once(monkeypatch, triangle_violation_model):
+    scanned = []
+    original = oracle.oracle_overlap
+
+    def counting(model, a, b, grid):
+        scanned.append((a, b))
+        return original(model, a, b, grid)
+
+    monkeypatch.setattr(oracle, "oracle_overlap", counting)
+    oracle_cross_check(triangle_violation_model, GridSpec(((-1, 1), (-1, 1)), F(1, 2)),
+                       order_samples=20)
+    assert scanned == [("a", "b"), ("a", "c"), ("b", "c")]
+
+
+def test_cross_check_in_three_dimensions():
+    model = mb.Model(3, ("a", "b"), {
+        ("a", "b"): FiniteFamily((point(0, F(-1, 2), 0), point(0, F(1, 2), 0))),
+    })
+    grid = GridSpec(((-1, 1), (-1, 1), (-1, 1)), F(1, 2))
+    report = oracle_cross_check(model, grid, order_samples=60)
+    assert report.passed, report.render()
+
+    scan = oracle_choice_points(model, "a", "b", grid)
+    for x in grid.points():
+        assert (x in scan.overlap.points) == model.in_overlap("a", "b", x), x
+    # both members are maximal; the origin is grid-blind, and only the
+    # refinement sees (1/8, 0, 0) escape above it
+    assert point(0, F(-1, 2), 0) in scan.candidates
+    assert point(0, F(1, 2), 0) in scan.candidates
+    assert point(0, 0, 0) not in scan.candidates
+
+
 def test_truncation_adequacy_integer_row():
     row = IntegerRow(0)
     box = ((-2, 2), (-2, 2))
