@@ -26,7 +26,7 @@ from .errors import (
     UnknownScenario,
     WitnessNotFound,
 )
-from .events import EventClass, LabeledPoint, event_class, event_rep, glued, same_event
+from .events import EventClass, LabeledPoint, event_class, glued, same_event
 from .families import (
     DifferenceRow,
     FiniteFamily,
@@ -105,7 +105,6 @@ __all__ = [
     "dump",
     "dumps",
     "event_class",
-    "event_rep",
     "exclusion_witness",
     "family_kind",
     "glued",

@@ -23,7 +23,7 @@ from .errors import (
     UnknownScenario,
 )
 from .events import LabeledPoint
-from .minkowski import Point, rational
+from .minkowski import Point, format_rational, rational
 from .model import Model, validate_model
 from .oracle import GridSpec
 from .sampling import SamplerConfig
@@ -40,11 +40,24 @@ def _load_model(path: str) -> Model:
         raise UsageError(f"model file not found: {path}")
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(value) -> Fraction:
     try:
-        return rational(text)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise UsageError(f"bad rational {text!r} (write p/q)")
+        return rational(value)
+    except TypeError:
+        # As in .mbs files: a JSON float is almost never the rational meant.
+        raise UsageError(f"bad coordinate {value!r}: rationals are 'p/q' strings (or integers)")
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad rational {value!r} (write p/q)")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid positive integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_point(text: str, model: Model) -> Point:
@@ -56,11 +69,7 @@ def _parse_point(text: str, model: Model) -> Point:
         raise UsageError('points are JSON arrays of rationals, e.g. \'["1/2","0/1"]\'')
     if len(raw) != model.dimension:
         raise UsageError(f"point has {len(raw)} coordinates, model dimension is {model.dimension}")
-    for c in raw:
-        # As in .mbs files: a JSON float is almost never the rational meant.
-        if isinstance(c, bool) or not isinstance(c, (str, int)):
-            raise UsageError(f"bad coordinate {c!r}: rationals are 'p/q' strings (or integers)")
-    return Point(tuple(_parse_rational(str(c)) for c in raw))
+    return Point(tuple(_parse_rational(c) for c in raw))
 
 
 def _parse_labeled(text: str, model: Model) -> LabeledPoint:
@@ -71,6 +80,8 @@ def _parse_labeled(text: str, model: Model) -> LabeledPoint:
     if not isinstance(raw, dict) or set(raw) != {"point", "scenario"}:
         raise UsageError(
             'labeled points are {"point": [...], "scenario": "label"} JSON objects')
+    if not isinstance(raw["scenario"], str):
+        raise UsageError(f"bad scenario {raw['scenario']!r}: labels are JSON strings")
     point = _parse_point(json.dumps(raw["point"]), model)
     return LabeledPoint(point, raw["scenario"])
 
@@ -163,8 +174,7 @@ def _cmd_counterexample(args) -> int:
     for i, z in enumerate(binaryrow.chain_points(depth), start=1):
         sset = binaryrow.scenarios_at_chain_point(i)
         samples = ", ".join(str(s) for s in sset.samples(2))
-        t = z.coords[0]
-        print(f"  depth {i}: z = ({t.numerator}/{t.denominator}, 0/1)  "
+        print(f"  depth {i}: z = ({format_rational(z.coords[0])}, 0/1)  "
               f"glued scenarios: {sset}  e.g. {samples}")
     print()
     print(f"exclusion witnesses (zero support inside 0..{args.support - 1}):")
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="structural validation of a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--truncate", type=int, default=200,
+    p.add_argument("--truncate", type=_positive_int, default=200,
                    help="member enumeration depth for infinite families")
     p.set_defaults(func=_cmd_validate)
 
@@ -258,15 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="sampled order-axiom suite")
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--cases", type=_positive_int, default=1000)
     p.add_argument("--box", nargs="+", help="per-axis lo,hi (default -2,2 per axis)")
     p.add_argument("--step", default="1/16")
     p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("counterexample",
                        help="the binary-row chain that no history can represent")
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--support", type=int, default=4,
+    p.add_argument("--depth", type=_positive_int, default=10)
+    p.add_argument("--support", type=_positive_int, default=4,
                    help="zero-support bound for the exclusion table")
     p.set_defaults(func=_cmd_counterexample)
 
@@ -274,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--box", nargs="+", required=True)
     p.add_argument("--step", default="1/4")
-    p.add_argument("--truncate", type=int, default=1000)
+    p.add_argument("--truncate", type=_positive_int, default=1000)
     p.add_argument("--refine", type=int, default=8)
     p.add_argument("--pair", action="append",
                    help="scenario pair a,b (repeatable; default all pairs)")
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", nargs="+", required=True,
                    help="time lo,hi then plotted-axis lo,hi")
     p.add_argument("--step", default="1/4")
-    p.add_argument("--truncate", type=int, default=1000)
+    p.add_argument("--truncate", type=_positive_int, default=1000)
     p.add_argument("--axis", type=int, default=1, help="spatial axis to plot")
     p.add_argument("--fix", action="append", help="fix another axis, e.g. 2=0/1")
     p.add_argument("--svg", required=True)

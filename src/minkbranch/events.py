@@ -16,7 +16,7 @@ space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import minkowski
 from .errors import ScenariosNotEnumerable
@@ -35,56 +35,27 @@ class LabeledPoint:
         return f"{self.point!r}@{self.scenario!r}"
 
 
+@dataclass(frozen=True)
 class EventClass:
-    """An event of the glued space: one location, a set of scenario labels.
+    """An event of the glued space: one location and its full label set.
 
-    Two storage modes:
-
-    * materialized: `labels` holds the full (finite) label set;
-    * lazy: `labels` is None and only `representative` is known, for models
-      whose scenario set cannot be enumerated.
-
-    Structural equality compares labels when both sides are materialized
-    and representatives when both are lazy; a materialized/lazy mix
-    compares membership of the lazy representative.  That is sound but,
-    for two lazy classes, incomplete (distinct representatives may name
-    the same event); the authoritative decision is same_event(), which
-    can consult the model.
+    `representative` is the label the class was built from; it takes no
+    part in equality or hashing.  Models whose scenario set cannot be
+    enumerated have no event classes: compare their labeled points with
+    same_event().
     """
 
-    __slots__ = ("point", "labels", "representative")
+    point: Point
+    labels: frozenset
+    representative: ScenarioId = field(compare=False)
 
-    def __init__(self, point: Point, labels: frozenset | None, representative: ScenarioId):
-        self.point = point
-        self.labels = labels
-        self.representative = representative
-        if labels is not None and representative not in labels:
+    def __post_init__(self):
+        if self.representative not in self.labels:
             raise ValueError("representative must belong to the label set")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventClass):
-            return NotImplemented
-        if self.point != other.point:
-            return False
-        if self.labels is not None and other.labels is not None:
-            return self.labels == other.labels
-        if self.labels is None and other.labels is None:
-            return self.representative == other.representative
-        materialized, lazy = (self, other) if self.labels is not None else (other, self)
-        return lazy.representative in materialized.labels
-
-    def __hash__(self):
-        # Mixed-mode equality cannot be made hash-consistent; classes from
-        # one model are built in one mode, which is the supported use.
-        if self.labels is not None:
-            return hash((self.point, self.labels))
-        return hash((self.point, None, self.representative))
-
     def __repr__(self) -> str:
-        if self.labels is not None:
-            shown = ",".join(sorted(repr(s) for s in self.labels))
-            return f"EventClass({self.point!r}, {{{shown}}})"
-        return f"EventClass({self.point!r}, rep={self.representative!r})"
+        shown = ",".join(sorted(repr(s) for s in self.labels))
+        return f"EventClass({self.point!r}, {{{shown}}})"
 
 
 def _as_rep(value: LabeledPoint | EventClass) -> tuple[Point, ScenarioId]:
@@ -111,19 +82,14 @@ def event_class(model: BranchingModel, a: LabeledPoint) -> EventClass:
     labels = model.scenario_list()
     if labels is None:
         raise ScenariosNotEnumerable(
-            "scenario set is not enumerable; use event_rep() for a representative-form class")
+            "scenario set is not enumerable; compare labeled points with same_event()")
     model.require_scenario(a.scenario)
     members = frozenset(s for s in labels if model.in_overlap(a.scenario, s, a.point))
     return EventClass(a.point, members, a.scenario)
 
 
-def event_rep(a: LabeledPoint) -> EventClass:
-    """Lazy event class: canonical representative, membership on demand."""
-    return EventClass(a.point, None, a.scenario)
-
-
 def same_event(model: BranchingModel, a, b) -> bool:
-    """Model-aware event equality for any mix of class modes."""
+    """Model-aware event equality of labeled points or event classes."""
     xa, sa = _as_rep(a)
     xb, sb = _as_rep(b)
     return glued(model, LabeledPoint(xa, sa), LabeledPoint(xb, sb))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import DimensionMismatch
 from .minkowski import Point, leq, lt, point, rational
@@ -47,8 +47,44 @@ def _unit_fraction_in(lo: Fraction, hi: Fraction) -> int | None:
     return None
 
 
+class SplittingFamily:
+    """The protocol every family kind follows.
+
+    A kind writes `contains`, `members` and, where it has a closed form,
+    `first_strictly_below`; the other cone queries are derived here, once.
+    """
+
+    is_finite: bool
+    slr_by_construction: bool
+
+    def members(self, limit: int | None = None) -> Iterator[Point]:
+        """The members in a fixed order; infinite kinds need `limit`."""
+        raise NotImplementedError
+
+    def contains(self, x: Point) -> bool:
+        raise NotImplementedError
+
+    def first_strictly_below(self, x: Point) -> Point | None:
+        """The first member strictly below x, by a linear scan (finite kinds)."""
+        for m in self.members():
+            if lt(m, x):
+                return m
+        return None
+
+    def any_strictly_below(self, x: Point) -> bool:
+        return self.first_strictly_below(x) is not None
+
+    def any_weakly_below(self, x: Point) -> bool:
+        # The strict query runs first, so that a point of the wrong dimension
+        # raises DimensionMismatch instead of reading as a non-member.
+        return self.any_strictly_below(x) or self.contains(x)
+
+    def accumulation_points(self) -> tuple[Point, ...]:
+        return ()
+
+
 @dataclass(frozen=True)
-class FiniteFamily:
+class FiniteFamily(SplittingFamily):
     """An explicit finite splitting set (deduplicated, kept in sorted order)."""
 
     points: tuple[Point, ...]
@@ -77,21 +113,6 @@ class FiniteFamily:
     def contains(self, x: Point) -> bool:
         return x in self.points
 
-    def any_strictly_below(self, x: Point) -> bool:
-        return any(lt(m, x) for m in self.points)
-
-    def any_weakly_below(self, x: Point) -> bool:
-        return any(leq(m, x) for m in self.points)
-
-    def first_strictly_below(self, x: Point) -> Point | None:
-        for m in self.points:
-            if lt(m, x):
-                return m
-        return None
-
-    def accumulation_points(self) -> tuple[Point, ...]:
-        return ()
-
     def slr_violation(self) -> tuple[Point, Point] | None:
         """First ordered member pair, if the set is not pairwise space-like."""
         for i, a in enumerate(self.points):
@@ -102,7 +123,7 @@ class FiniteFamily:
 
 
 @dataclass(frozen=True)
-class IntegerRow:
+class IntegerRow(SplittingFamily):
     """All points (t0, n) for natural n, on one simultaneity slice of the plane."""
 
     t0: Fraction
@@ -126,39 +147,20 @@ class IntegerRow:
         u = x.coords[1]
         return u.denominator == 1 and u >= 0
 
-    def _bounds(self, x: Point) -> tuple[int, int] | None:
-        # Integers n >= 0 with (t0, n) weakly below x: |x1 - n| <= x0 - t0.
-        dt = x.coords[0] - self.t0
-        if dt < 0:
-            return None
-        u = x.coords[1]
-        n_lo = max(0, ceil(u - dt))
-        n_hi = floor(u + dt)
-        return (n_lo, n_hi) if n_lo <= n_hi else None
-
-    def any_strictly_below(self, x: Point) -> bool:
+    def first_strictly_below(self, x: Point) -> Point | None:
         _check_planar(x)
         dt = x.coords[0] - self.t0
         if dt <= 0:
             # On the slice itself only the member equal to x is weakly below.
-            return False
-        return self._bounds(x) is not None
-
-    def any_weakly_below(self, x: Point) -> bool:
-        return self.any_strictly_below(x) or self.contains(x)
-
-    def first_strictly_below(self, x: Point) -> Point | None:
-        if not self.any_strictly_below(x):
             return None
-        n_lo, _ = self._bounds(x)
-        return point(self.t0, n_lo)
-
-    def accumulation_points(self) -> tuple[Point, ...]:
-        return ()
+        # Integers n >= 0 with (t0, n) below x: |x1 - n| <= x0 - t0.
+        u = x.coords[1]
+        n_lo = max(0, ceil(u - dt))
+        return point(self.t0, n_lo) if n_lo <= floor(u + dt) else None
 
 
 @dataclass(frozen=True)
-class HarmonicPair:
+class HarmonicPair(SplittingFamily):
     """Two rows of points center +- (0, 1/n), accumulating at the center.
 
     The center itself is not a member, but it is a limit of members on both
@@ -193,18 +195,6 @@ class HarmonicPair:
         inv = _ONE / abs(u)
         return inv.denominator == 1
 
-    def any_strictly_below(self, x: Point) -> bool:
-        _check_planar(x)
-        dt = x.coords[0] - self.center.coords[0]
-        if dt <= 0:
-            return False
-        u = x.coords[1] - self.center.coords[1]
-        return (_unit_fraction_in(u - dt, u + dt) is not None
-                or _unit_fraction_in(-u - dt, -u + dt) is not None)
-
-    def any_weakly_below(self, x: Point) -> bool:
-        return self.any_strictly_below(x) or self.contains(x)
-
     def first_strictly_below(self, x: Point) -> Point | None:
         _check_planar(x)
         c0, c1 = self.center.coords
@@ -225,7 +215,7 @@ class HarmonicPair:
 
 
 @dataclass(frozen=True)
-class DifferenceRow:
+class DifferenceRow(SplittingFamily):
     """Splitting points of two binary sequences: (0, j) where their bits differ.
 
     A sequence is encoded by its finite set of zero positions, so the
@@ -265,23 +255,6 @@ class DifferenceRow:
         u = x.coords[1]
         return u.denominator == 1 and int(u) in self.zeros_a ^ self.zeros_b
 
-    def any_strictly_below(self, x: Point) -> bool:
-        return any(lt(m, x) for m in self.members())
-
-    def any_weakly_below(self, x: Point) -> bool:
-        return any(leq(m, x) for m in self.members())
-
-    def first_strictly_below(self, x: Point) -> Point | None:
-        for m in self.members():
-            if lt(m, x):
-                return m
-        return None
-
-    def accumulation_points(self) -> tuple[Point, ...]:
-        return ()
-
-
-SplittingFamily = Union[FiniteFamily, IntegerRow, HarmonicPair, DifferenceRow]
 
 KIND_NAMES = {
     FiniteFamily: "finite",
@@ -296,8 +269,5 @@ def family_kind(family: SplittingFamily) -> str:
 
 
 def is_empty(family: SplittingFamily) -> bool:
-    if isinstance(family, FiniteFamily):
-        return not family.points
-    if isinstance(family, DifferenceRow):
-        return not family.positions
-    return False
+    """Has the family no member at all?  (Infinite kinds never are empty.)"""
+    return next(family.members(limit=1), None) is None

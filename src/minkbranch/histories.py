@@ -165,22 +165,6 @@ def prior_choice_witness(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     return witness
 
 
-def history_order_agrees(model: BranchingModel, history: History,
-                         pairs) -> bool:
-    """Within one history, induced order and Minkowski order must coincide.
-
-    `pairs` is an iterable of location pairs; both orientations of each
-    pair are checked through the real event-order code path.
-    """
-    s = history.scenario
-    for x, y in pairs:
-        for lo, hi in ((x, y), (y, x)):
-            induced = events.leq(model, LabeledPoint(lo, s), LabeledPoint(hi, s))
-            if induced != minkowski.leq(lo, hi):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Axiom suite
 # ---------------------------------------------------------------------------

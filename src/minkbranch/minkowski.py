@@ -34,16 +34,21 @@ _ZERO = Fraction(0)
 def rational(value: Fraction | int | str) -> Fraction:
     """Coerce an int, 'p/q' string, or Fraction to Fraction.
 
-    Floats are rejected: a binary float is almost never the rational the
-    caller meant, and exactness is the whole point of this module.
+    Floats and bools are rejected (TypeError): a binary float is almost
+    never the rational the caller meant, and exactness is the whole point
+    of this module.  A malformed string raises ValueError or
+    ZeroDivisionError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected a rational (int, 'p/q' string, Fraction), got {value!r}")
+
+
+def format_rational(value: Fraction) -> str:
+    """The 'p/q' form of a rational, denominator always written: '3/1'."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .errors import DimensionMismatch, MissingFamily, UnknownScenario
 from .families import (
     DifferenceRow,
-    FiniteFamily,
     SplittingFamily,
     family_kind,
     is_empty,
@@ -189,13 +188,8 @@ def triangle_check(
                 return TriangleResult(False, Point((fam_ac.row_time, j)), "position containment")
         return TriangleResult(True, None, "position containment")
 
-    if fam_ac.is_finite:
-        members = fam_ac.members()
-        method = "exhaustive"
-    else:
-        members = fam_ac.members(limit=truncate)
-        method = f"members up to index {truncate}"
-    for x in members:
+    method = "exhaustive" if fam_ac.is_finite else f"members up to index {truncate}"
+    for x in fam_ac.members(limit=truncate):
         if not (fam_ab.any_weakly_below(x) or fam_bc.any_weakly_below(x)):
             return TriangleResult(False, x, method)
     return TriangleResult(True, None, method)
@@ -291,23 +285,3 @@ def validate_model(model: Model, truncate: int = TRIANGLE_TRUNCATION) -> Report:
     report.add("triangle", not triangle_failures, detail)
 
     return report
-
-
-def overlap_inclusion_counterexample(
-    model: Model,
-    a: ScenarioId,
-    b: ScenarioId,
-    c: ScenarioId,
-    points: Iterable[Point],
-) -> Point | None:
-    """First sampled point in both stepwise overlaps but not the direct one.
-
-    On models satisfying the triangle condition the inclusion holds and this
-    returns None; a non-None result is exactly a transitivity failure of the
-    gluing relation at that point.
-    """
-    for x in points:
-        if (model.in_overlap(a, b, x) and model.in_overlap(b, c, x)
-                and not model.in_overlap(a, c, x)):
-            return x
-    return None

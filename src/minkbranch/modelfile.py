@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .errors import ModelFormatError
 from .families import (
+    KIND_NAMES,
     DifferenceRow,
     FiniteFamily,
     HarmonicPair,
@@ -36,10 +37,8 @@ from .families import (
     SplittingFamily,
     family_kind,
 )
-from .minkowski import Point
+from .minkowski import Point, format_rational, rational
 from .model import Model
-
-_KINDS = ("finite", "integer_row", "harmonic_pair", "difference_row")
 
 
 def _fail(message: str, location: str):
@@ -62,10 +61,10 @@ def _expect_keys(mapping: dict, required: set[str], optional: set[str], location
 
 
 def _parse_rational(value, location: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        _fail("rationals are 'p/q' strings (or integers)", location)
     try:
-        return Fraction(value)
+        return rational(value)
+    except TypeError:
+        _fail("rationals are 'p/q' strings (or integers)", location)
     except (ValueError, ZeroDivisionError) as exc:
         _fail(f"bad rational {value!r}: {exc}", location)
 
@@ -104,8 +103,9 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
         _fail("a pair needs two distinct scenarios", f"{loc}.pair")
 
     kind = _expect(entry["kind"], str, "a kind string", f"{loc}.kind")
-    if kind not in _KINDS:
-        _fail(f"unknown kind {kind!r}; known kinds: {', '.join(_KINDS)}", f"{loc}.kind")
+    if kind not in KIND_NAMES.values():
+        _fail(f"unknown kind {kind!r}; known kinds: {', '.join(KIND_NAMES.values())}",
+              f"{loc}.kind")
     data = _expect(entry["data"], dict, "a data object", f"{loc}.data")
     dloc = f"{loc}.data"
 
@@ -173,19 +173,15 @@ def load(path) -> Model:
         return loads(handle.read())
 
 
-def _format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _format_point(p: Point) -> list[str]:
-    return [_format_rational(c) for c in p.coords]
+    return [format_rational(c) for c in p.coords]
 
 
 def _family_data(family: SplittingFamily) -> dict:
     if isinstance(family, FiniteFamily):
         return {"points": [_format_point(p) for p in family.points]}
     if isinstance(family, IntegerRow):
-        return {"t0": _format_rational(family.t0)}
+        return {"t0": format_rational(family.t0)}
     if isinstance(family, HarmonicPair):
         return {"center": _format_point(family.center)}
     return {"zeros_a": sorted(family.zeros_a), "zeros_b": sorted(family.zeros_b)}

@@ -92,13 +92,9 @@ class GridSpec:
         axes = [self.axis_values(i) for i in range(self.dimension)]
         return [Point(coords) for coords in product(*axes)]
 
-    def contains(self, x: Point) -> bool:
-        return all(lo <= c <= hi for c, (lo, hi) in zip(x.coords, self.box))
-
 
 def member_list(family: SplittingFamily, truncate: int) -> list[Point]:
-    if family.is_finite:
-        return list(family.members())
+    """All members of a finite family; those up to index `truncate` of an infinite one."""
     return list(family.members(limit=truncate))
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .histories import is_choice_point
-from .minkowski import Point
+from .minkowski import Point, format_rational
 from .model import BranchingModel, ScenarioId
 from .oracle import GridSpec, member_list
 
@@ -68,16 +68,12 @@ def region_cells(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: Grid
     return cells
 
 
-def _csv_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def render_csv(cells: list[PlotCell]) -> str:
     lines = [CSV_HEADER]
     for cell in cells:
         lines.append(",".join((
-            _csv_rational(cell.t),
-            _csv_rational(cell.x),
+            format_rational(cell.t),
+            format_rational(cell.x),
             "1" if cell.in_region else "0",
             "1" if cell.choice_point else "0",
         )))

@@ -3,6 +3,8 @@ import random
 import pytest
 
 import minkbranch as mb
+from minkbranch import events, minkowski
+from minkbranch.events import LabeledPoint
 from minkbranch.minkowski import point
 
 # Seeds whose generated models span 2..5 scenarios; fixed so every run
@@ -15,6 +17,35 @@ def build_random_battery(seeds=BATTERY_SEEDS):
     for seed in seeds:
         models.append(mb.random_model(random.Random(seed)))
     return models
+
+
+def overlap_inclusion_counterexample(model, a, b, c, points):
+    """First sampled point in both stepwise overlaps but not the direct one.
+
+    On models satisfying the triangle condition the inclusion holds and this
+    returns None; a non-None result is exactly a transitivity failure of the
+    gluing relation at that point.
+    """
+    for x in points:
+        if (model.in_overlap(a, b, x) and model.in_overlap(b, c, x)
+                and not model.in_overlap(a, c, x)):
+            return x
+    return None
+
+
+def history_order_agrees(model, history, pairs) -> bool:
+    """Within one history, induced order and Minkowski order must coincide.
+
+    `pairs` is an iterable of location pairs; both orientations of each
+    pair are checked through the real event-order code path.
+    """
+    s = history.scenario
+    for x, y in pairs:
+        for lo, hi in ((x, y), (y, x)):
+            induced = events.leq(model, LabeledPoint(lo, s), LabeledPoint(hi, s))
+            if induced != minkowski.leq(lo, hi):
+                return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from minkbranch.histories import (
     ChainSample,
     History,
     common_scenarios,
-    history_order_agrees,
     is_choice_point,
     is_generated_choice_point,
     run_axiom_suite,
@@ -27,7 +26,7 @@ from minkbranch.minkowski import Point, point
 from minkbranch.oracle import GridSpec, oracle_choice_points, oracle_cross_check
 from minkbranch.sampling import SamplerConfig
 
-from conftest import build_random_battery
+from conftest import build_random_battery, history_order_agrees
 from test_oracle import (
     FiniteSkippingFirst,
     HarmonicSkippingLargest,

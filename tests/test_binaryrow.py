@@ -16,7 +16,7 @@ from minkbranch.binaryrow import (
     verify_chain,
 )
 from minkbranch.errors import ScenariosNotEnumerable
-from minkbranch.events import LabeledPoint, event_rep
+from minkbranch.events import LabeledPoint
 from minkbranch.minkowski import point
 
 
@@ -127,8 +127,7 @@ def test_generator_model_surface():
     lp = LabeledPoint(point(F(1, 2), 0), s)
     with pytest.raises(ScenariosNotEnumerable):
         events.event_class(model, lp)
-    rep = event_rep(lp)
-    assert events.same_event(model, rep, lp)
+    assert events.same_event(model, lp, lp)
 
 
 def test_centred_family_report():

@@ -220,3 +220,33 @@ def test_argparse_usage_error_is_exit_2(two_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["query", "nonsense", "--model", two_path])
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--depth", "0"],
+    ["counterexample", "--support", "0"],
+    ["counterexample", "--support", "-1"],
+    ["axioms", "--model", "MODEL", "--cases", "-3"],
+    ["validate", "--model", "MODEL", "--truncate", "-5"],
+    ["oracle", "--model", "MODEL", "--box", "-1,1", "-1,1", "--truncate", "0"],
+    ["plot", "--model", "MODEL", "--pair", "s1,s2", "--box", "-1,1", "-1,1",
+     "--svg", "unused.svg", "--truncate", "0"],
+    ["counterexample", "--depth", "two"],
+], ids=" ".join)
+def test_numeric_flags_take_positive_integers(capsys, two_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([two_path if arg == "MODEL" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    assert "positive integer" in err or "at least 1" in err
+
+
+def test_non_string_scenario_is_usage_error(capsys, two_path):
+    for label in ("[1]", "1", "null"):
+        code, out, err = run(capsys, [
+            "query", "order", "--model", two_path,
+            "--a", f'{{"point": ["0/1", "0/1"], "scenario": {label}}}',
+            "--b", '{"point": ["0/1", "0/1"], "scenario": "s1"}',
+        ])
+        assert (code, out) == (2, ""), label
+        assert "bad scenario" in err

@@ -5,7 +5,7 @@ import pytest
 
 import minkbranch as mb
 from minkbranch import events
-from minkbranch.events import EventClass, LabeledPoint, event_class, event_rep, glued, same_event
+from minkbranch.events import EventClass, LabeledPoint, event_class, glued, same_event
 from minkbranch.minkowski import point
 
 from conftest import build_random_battery
@@ -39,11 +39,22 @@ def test_event_rep_equality_modes(two_scenario_model):
     m = two_scenario_model
     a = lp(-1, 0, "s1")
     b = lp(-1, 0, "s2")
-    assert event_rep(a) == event_class(m, b)      # lazy vs materialized
-    assert event_rep(a) != event_rep(b)           # two lazy reps: exact identity
-    assert same_event(m, event_rep(a), event_rep(b))
+    assert a != b                                 # two labeled points: exact identity
+    assert same_event(m, a, b)
     assert same_event(m, a, event_class(m, b))
     assert not same_event(m, lp(1, 0, "s1"), lp(1, 0, "s2"))
+
+
+def test_event_class_hash_ignores_representative(two_scenario_model):
+    m = two_scenario_model
+    a, b = event_class(m, lp(-1, 0, "s1")), event_class(m, lp(-1, 0, "s2"))
+    assert a.representative != b.representative
+    assert a == b and len({a, b}) == 1
+
+
+def test_public_names_resolve():
+    for name in mb.__all__:
+        assert hasattr(mb, name), name
 
 
 def test_event_class_validates_representative():
@@ -67,7 +78,7 @@ def test_induced_order_examples(two_scenario_model):
 def test_induced_order_accepts_event_classes(two_scenario_model):
     m = two_scenario_model
     lo = event_class(m, lp(-2, 0, "s1"))
-    hi = event_rep(lp(-1, 0, "s2"))
+    hi = lp(-1, 0, "s2")
     assert events.leq(m, lo, hi)
     assert events.leq(m, lo, lp(-1, 0, "s2"))
 

@@ -13,6 +13,7 @@ from minkbranch.families import (
     is_empty,
 )
 from minkbranch.minkowski import leq, lt, point
+from minkbranch.model import Model
 
 
 def brute_any_strictly_below(family, x, limit):
@@ -234,3 +235,38 @@ def test_first_strictly_below_agrees_with_any():
                 assert fam.contains(first)
             else:
                 assert first is None
+
+
+KIND_SAMPLES = [
+    (FiniteFamily, ((point(0, 0),),)),
+    (IntegerRow, (0,)),
+    (HarmonicPair, (point(0, 0),)),
+    (DifferenceRow, (frozenset({0}), frozenset())),
+]
+
+
+@pytest.mark.parametrize("cls, args", KIND_SAMPLES,
+                         ids=[cls.__name__ for cls, _ in KIND_SAMPLES])
+def test_cone_queries_derive_from_first_strictly_below(cls, args):
+    class Blind(cls):
+        def first_strictly_below(self, x):
+            return None
+
+    above = point(10, 0)
+    assert cls(*args).any_strictly_below(above)
+    blind = Blind(*args)
+    assert not blind.any_strictly_below(above)
+    assert not blind.any_weakly_below(above)
+    assert Model(2, ("a", "b"), {("a", "b"): blind}).in_overlap("a", "b", above)
+
+
+@pytest.mark.parametrize("family, empty", [
+    (FiniteFamily(()), True),
+    (FiniteFamily((point(0, 0),)), False),
+    (IntegerRow(0), False),
+    (HarmonicPair(point(0, 0)), False),
+    (DifferenceRow(frozenset({1, 2}), frozenset({1, 2})), True),
+    (DifferenceRow(frozenset({1}), frozenset()), False),
+])
+def test_is_empty_for_every_kind(family, empty):
+    assert is_empty(family) == empty

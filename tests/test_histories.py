@@ -10,7 +10,6 @@ from minkbranch.histories import (
     ChainSample,
     History,
     common_scenarios,
-    history_order_agrees,
     in_history,
     is_choice_point,
     is_generated_choice_point,
@@ -21,7 +20,7 @@ from minkbranch.histories import (
 from minkbranch.minkowski import point
 from minkbranch.sampling import Sampler, SamplerConfig
 
-from conftest import build_random_battery
+from conftest import build_random_battery, history_order_agrees
 
 
 def test_chain_sample_validation():

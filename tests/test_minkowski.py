@@ -32,6 +32,11 @@ def test_rational_accepts_exact_inputs():
     assert rational(F(2, 4)) == F(1, 2)
 
 
+def test_rational_rejects_bools():
+    with pytest.raises(TypeError):
+        rational(True)
+
+
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)

@@ -7,12 +7,11 @@ from minkbranch.errors import DimensionMismatch, MissingFamily, UnknownScenario
 from minkbranch.minkowski import point
 from minkbranch.model import (
     TRIANGLE_TRUNCATION,
-    overlap_inclusion_counterexample,
     triangle_check,
     validate_model,
 )
 
-from conftest import build_random_battery
+from conftest import build_random_battery, overlap_inclusion_counterexample
 
 
 def check_names(report):
