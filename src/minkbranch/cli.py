@@ -12,16 +12,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import binaryrow, events, histories, modelfile, oracle, plotting
-from .errors import (
-    DimensionMismatch,
-    GridBudgetExceeded,
-    MissingFamily,
-    ModelFormatError,
-    ScenariosNotEnumerable,
-    UnknownScenario,
-)
+from .errors import MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario
 from .events import LabeledPoint
 from .minkowski import Point, format_rational, rational
 from .model import Model, validate_model
@@ -38,6 +32,16 @@ def _load_model(path: str) -> Model:
         return modelfile.load(path)
     except FileNotFoundError:
         raise UsageError(f"model file not found: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read model file {path}: {exc.strerror}")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 def _parse_rational(value) -> Fraction:
@@ -191,22 +195,21 @@ def _cmd_oracle(args) -> int:
     model = _load_model(args.model)
     grid = GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)
     pairs = [_parse_pair(p) for p in args.pair] if args.pair else None
-    report = oracle.oracle_cross_check(
-        model, grid, pairs=pairs, refine_factor=args.refine)
+    report = oracle.oracle_cross_check(model, grid, pairs=pairs)
     if args.csv:
         if grid.dimension != 2:
             raise UsageError("CSV scans take a 2-D grid")
-        target_pairs = pairs if pairs else [
-            (a, b) for i, a in enumerate(model.scenarios) for b in model.scenarios[i + 1:]]
+        target_pairs = pairs or list(combinations(model.scenarios, 2))
+        if not target_pairs:
+            raise UsageError("CSV scans need a scenario pair")
         a, b = target_pairs[0]
-        scan = oracle.oracle_choice_points(model, a, b, grid, refine_factor=args.refine)
+        scan = oracle.oracle_choice_points(model, a, b, grid)
         cells = [
             plotting.PlotCell(x.coords[0], x.coords[1], x,
                               x in scan.overlap.points, x in scan.candidates)
             for x in grid.points()
         ]
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(plotting.render_csv(cells))
+        _write_text(args.csv, plotting.render_csv(cells))
         print(f"wrote oracle scan for pair {a},{b} to {args.csv}")
     return _print_report(report)
 
@@ -227,12 +230,10 @@ def _cmd_plot(args) -> int:
         fixed[axis] = _parse_rational(value)
     cells = plotting.region_cells(model, a, b, grid, axis=args.axis, fixed=fixed)
     svg = plotting.render_svg(model, a, b, grid, cells, axis=args.axis, fixed=fixed)
-    with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    _write_text(args.svg, svg)
     print(f"wrote {args.svg}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(plotting.render_csv(cells))
+        _write_text(args.csv, plotting.render_csv(cells))
         print(f"wrote {args.csv}")
     return 0
 
@@ -285,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", nargs="+", required=True)
     p.add_argument("--step", default="1/4")
     p.add_argument("--truncate", type=_positive_int, default=1000)
-    p.add_argument("--refine", type=int, default=8)
     p.add_argument("--pair", action="append",
                    help="scenario pair a,b (repeatable; default all pairs)")
     p.add_argument("--csv", help="write the first pair's scan as CSV")
@@ -336,14 +336,9 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"parse error at {exc.location}: {exc.reason}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownScenario, MissingFamily, DimensionMismatch,
-            ScenariosNotEnumerable, GridBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, UnknownScenario, MissingFamily, ScenariosNotEnumerable,
+            ValueError) as exc:
+        # DimensionMismatch and GridBudgetExceeded are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -161,6 +161,11 @@ class TriangleResult:
     method: str
 
 
+def _check_truncation(truncate: int) -> None:
+    if truncate < 1:
+        raise ValueError("truncation must be at least 1")
+
+
 def triangle_check(
     model: Model,
     a: ScenarioId,
@@ -175,6 +180,7 @@ def triangle_check(
     symmetric differences).  Other kinds enumerate the (a, c) members, with
     truncation when that family is infinite.
     """
+    _check_truncation(truncate)
     if len({a, b, c}) != 3:
         raise ValueError("triangle check needs three distinct scenarios")
     fam_ac = model.family(a, c)
@@ -197,6 +203,7 @@ def triangle_check(
 
 def validate_model(model: Model, truncate: int = TRIANGLE_TRUNCATION) -> Report:
     """Structural validation report; every later construction assumes it passes."""
+    _check_truncation(truncate)
     report = Report("validate")
 
     # Labels: every family entry must reference declared scenarios.

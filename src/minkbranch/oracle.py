@@ -16,14 +16,16 @@ enumerated points, never from a family's closed form.
 
 Two honesty devices keep the enumeration meaningful:
 
-* truncation adequacy: per family kind, an exact bound on the member index
-  beyond which members cannot affect any decision for points of the given
-  lattice; scans below that bound are exact, scans above it carry a warning;
-* candidate refinement: a maximality verdict from a step-sized grid can be
-  blind to escape wedges thinner than the step, so each candidate is
-  re-probed on a finer local lattice just above it (still pure member
-  enumeration).  Refinement can only remove false candidates: a true
-  choice point has no witness anywhere, so none on any refinement.
+* truncation adequacy: per family kind, `members_needed` bounds the member
+  index past which no member can lie strictly below a given point; a scan
+  whose cap covers that bound at every grid point is exact, and one that
+  does not carries a warning;
+* escape witnesses: a grid point with no scanned grid point above it may
+  still have overlap points above it, in a wedge thinner than the step.
+  Each such candidate x is tested at y = x + (eps, 0), with eps an exact
+  rational below x's gap to every enumerated member; y is a witness, and x
+  no choice point, when the cap also covers `members_needed` at y.  A true
+  choice point has no such y, so the test only removes false candidates.
 
 Grid points within one light-cone step of the box top or of a spatial face
 are flagged: their maximality cannot be decided inside the box, and they
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, lcm
+from math import isqrt
 
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
@@ -116,55 +118,30 @@ def _any_below(forms: tuple[IntegerForm, ...], x: IntegerForm) -> bool:
     return False
 
 
-def _min_positive_on_lattice(base: Fraction, step: Fraction, count: int) -> Fraction | None:
-    """Smallest positive value of {base + k*step : 0 <= k < count}, if any."""
-    if count <= 0:
-        return None
-    if base > 0:
-        return base
-    k = floor(-base / step) + 1
-    if k >= count:
-        return None
-    return base + step * k
+def members_needed(family: SplittingFamily, x: IntegerForm) -> int:
+    """A member index past which no member of the family lies strictly below x.
 
-
-def truncation_adequacy(family: SplittingFamily, grid: GridSpec,
-                        lattice_step: Fraction | None = None) -> tuple[bool, str]:
-    """Is the member cap provably enough for every point of this lattice?
-
-    `lattice_step` defaults to the grid step; refinement passes supply the
-    finer step they probe on.
+    Zero for the finite kinds, which are enumerated whole.  The bound reads
+    only the kind's parameters (`t0`, `center`), never a closed-form query,
+    and is exact integer arithmetic on x's integer form (D, nums).
     """
-    step = lattice_step if lattice_step is not None else grid.step
-    if family.is_finite:
-        return True, "finite family"
-
+    d, (t, u, *_) = x
     if isinstance(family, IntegerRow):
-        (t_lo, t_hi), (x_lo, x_hi) = grid.box[0], grid.box[1]
-        if t_hi < family.t0:
-            return True, "box lies below the row"
-        needed = floor(x_hi + (t_hi - family.t0))
-        if needed < 0:
-            return True, "no member index reachable from the box"
-        ok = grid.truncate >= needed
-        return ok, f"indices up to {needed} reachable, cap {grid.truncate}"
-
+        # (t0, n) < x needs dt > 0 and n <= x1 + dt.
+        q, p = family.t0.denominator, family.t0.numerator
+        dt = t * q - p * d                      # (x0 - t0) * D * q
+        return max(0, (u * q + dt) // (d * q)) if dt > 0 else 0
     if isinstance(family, HarmonicPair):
+        # center +- (0, 1/n) < x needs dt > 0 and 1/n <= dt +- u; the first
+        # such n is the ceiling of 1/(dt +- u).
         c0, c1 = family.center.coords
-        counts = [int((hi - lo) / step) + 1 for lo, hi in grid.box[:2]]
-        span = counts[0] + counts[1] - 1
-        needed = 0
-        for base in (
-            grid.box[0][0] + grid.box[1][0] - c0 - c1,   # smallest x0 + x1 offset
-            grid.box[0][0] - grid.box[1][1] - c0 + c1,   # smallest x0 - x1 offset
-        ):
-            m = _min_positive_on_lattice(base, step, span)
-            if m is not None:
-                needed = max(needed, ceil(1 / m))
-        ok = grid.truncate >= needed
-        return ok, f"tail irrelevant beyond index {needed}, cap {grid.truncate}"
-
-    return True, "finite family"
+        q = c0.denominator * c1.denominator
+        dt = t * q - c0.numerator * c1.denominator * d      # (x0 - c0) * D * q
+        if dt <= 0:
+            return 0
+        du = u * q - c1.numerator * c0.denominator * d
+        return max((-(-d * q // v) for v in (dt + du, dt - du) if v > 0), default=0)
+    return 0
 
 
 @dataclass(frozen=True)
@@ -183,10 +160,11 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     model.require_scenario(b)
     family = model.family(a, b)
     members = _member_forms(family, grid)
-    adequate, note = truncation_adequacy(family, grid)
-    kept = frozenset(
-        x for x in grid.points() if not _any_below(members, integer_form(x)))
-    return OverlapScan(kept, adequate, note, members)
+    forms = [(x, integer_form(x)) for x in grid.points()]
+    kept = frozenset(x for x, form in forms if not _any_below(members, form))
+    needed = max(members_needed(family, form) for _, form in forms)
+    note = f"member indices up to {needed} reachable, cap {grid.truncate}"
+    return OverlapScan(kept, grid.truncate >= needed, note, members)
 
 
 def boundary_flagged(grid: GridSpec, x: Point) -> bool:
@@ -205,76 +183,67 @@ class ChoiceScan:
     candidates: tuple[Point, ...]
     flagged: frozenset[Point]
     overlap: OverlapScan
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _check_refine(refine_factor: int) -> None:
-    if refine_factor < 1:
-        raise ValueError(f"refinement factor must be at least 1, got {refine_factor}")
+def _has_escape_witness(x: IntegerForm, members: tuple[IntegerForm, ...],
+                        family: SplittingFamily, grid: GridSpec) -> bool:
+    """Is y = x + (eps, 0), inside the box, provably in the overlap?
 
-
-def _refinement_witness(x: Point, members: tuple[IntegerForm, ...], grid: GridSpec,
-                        factor: int) -> Point | None:
-    """A point strictly above x, inside the box, with no member below it.
-
-    Probes the factor-times-finer lattice up to one grid step above x: the
-    points x + fine * (kt, j1, ...) with |j| <= kt, built directly as
-    integer forms over a common denominator of x and the fine step.
+    eps starts at the room left below the box top.  For each enumerated
+    member m, with dt = x0 - m0 and S the squared spatial distance, scaled
+    as in `integer_lt` (dt by Dm*Dx, S by its square), eps is cut below
+    m's gap sqrt(S) - dt: to (S - dt**2) / ((isqrt(S) + 1 + dt) * Dm * Dx)
+    when dt >= 0, strictly below the gap, and to -dt / (Dm * Dx) when
+    dt < 0, which keeps y no later than m.  No enumerated member then lies
+    below y, and y is a witness when no member past the cap can either.  A
+    member, or a point on the box top, leaves no room and no witness.
     """
-    fine = grid.step / factor
-    dx, xn = integer_form(x)
-    den = lcm(dx, fine.denominator)
-    base = [n * (den // dx) for n in xn]
-    unit = fine.numerator * (den // fine.denominator)
-    # Offsets, in fine steps, that keep the probe inside the box.
-    t_room = min(factor, floor((grid.box[0][1] - x.coords[0]) / fine))
-    room = [(ceil((lo - c) / fine), floor((hi - c) / fine))
-            for c, (lo, hi) in zip(x.coords[1:], grid.box[1:])]
-    for kt in range(1, t_room + 1):
-        axes = [range(max(lo, -kt), min(hi, kt) + 1) for lo, hi in room]
-        for offsets in product(*axes):
-            if sum(j * j for j in offsets) > kt * kt:
-                continue
-            z = (base[0] + unit * kt,) + tuple(
-                n + unit * j for n, j in zip(base[1:], offsets))
-            if not _any_below(members, (den, z)):
-                return Point(tuple(Fraction(n, den) for n in z))
-    return None
+    dx, xn = x
+    top = grid.box[0][1]
+    # eps = num / (den * Dx) throughout.
+    num, den = top.numerator * dx - xn[0] * top.denominator, top.denominator
+    if num <= 0:
+        return False
+    x0, spatial = xn[0], range(1, len(xn))
+    for dm, mn in members:
+        dt = x0 * dm - mn[0] * dx
+        if dt < 0:
+            cut, cut_den = -dt, dm
+        else:
+            s = 0
+            for i in spatial:
+                d = xn[i] * dm - mn[i] * dx
+                s += d * d
+            cut, cut_den = s - dt * dt, (isqrt(s) + 1 + dt) * dm
+        if cut * den < num * cut_den:
+            if cut <= 0:
+                return False            # x is a member
+            num, den = cut, cut_den
+    y = (dx * den, (xn[0] * den + num,) + tuple(c * den for c in xn[1:]))
+    return members_needed(family, y) <= grid.truncate
 
 
 def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
-                         grid: GridSpec, refine_factor: int = 8) -> ChoiceScan:
-    """Grid points maximal in the scanned overlap, refinement-verified."""
-    _check_refine(refine_factor)
+                         grid: GridSpec) -> ChoiceScan:
+    """Grid points maximal in the scanned overlap with no escape witness."""
     scan = oracle_overlap(model, a, b, grid)
     family = model.family(a, b)
-    if grid.dimension > 2:
-        refine_factor = min(refine_factor, 4)
-
     by_time = sorted(scan.points, key=lambda p: p.coords)
-    notes = []
-    if not scan.adequate:
-        notes.append(f"truncation not provably adequate: {scan.note}")
-    fine_ok, fine_note = truncation_adequacy(family, grid, lattice_step=grid.step / refine_factor)
-    if not fine_ok:
-        notes.append(f"refinement truncation not provably adequate: {fine_note}")
-
     forms = [integer_form(x) for x in by_time]
     candidates = []
     for i, x in enumerate(by_time):
         if any(integer_lt(forms[i], z) for z in forms[i + 1:]):
             continue
-        if _refinement_witness(x, scan.member_forms, grid, refine_factor) is not None:
+        if _has_escape_witness(forms[i], scan.member_forms, family, grid):
             continue
         candidates.append(x)
 
     flagged = frozenset(x for x in grid.points() if boundary_flagged(grid, x))
-    return ChoiceScan(tuple(candidates), flagged, scan, tuple(notes))
+    return ChoiceScan(tuple(candidates), flagged, scan)
 
 
 def oracle_cross_check(model: BranchingModel, grid: GridSpec,
-                       pairs=None, order_samples: int = 200,
-                       refine_factor: int = 8) -> Report:
+                       pairs=None, order_samples: int = 200) -> Report:
     """Agreement report: analytic queries versus pure enumeration.
 
     Checks, per scenario pair: overlap membership at every grid point,
@@ -282,7 +251,6 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
     spot checks re-evaluated from the definition (Minkowski order plus
     scanned overlap membership).
     """
-    _check_refine(refine_factor)
     report = Report("oracle-cross-check")
     if pairs is None:
         labels = model.scenario_list()
@@ -293,10 +261,10 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
     grid_pts = grid.points()
     for a, b in pairs:
         tag = f"{a}|{b}"
-        choice = oracle_choice_points(model, a, b, grid, refine_factor=refine_factor)
+        choice = oracle_choice_points(model, a, b, grid)
         scan = choice.overlap
         if not scan.adequate:
-            report.note(f"{tag}: {scan.note}")
+            report.note(f"{tag}: truncation not provably adequate: {scan.note}")
         overlap_bad = [
             x for x in grid_pts
             if model.in_overlap(a, b, x) != (x in scan.points)
@@ -305,8 +273,6 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
                    f"{len(grid_pts)} grid points" if not overlap_bad
                    else f"{len(overlap_bad)} disagreements; first {overlap_bad[0]!r}")
 
-        for note in choice.notes:
-            report.note(f"{tag}: {note}")
         cand = set(choice.candidates)
         choice_bad = [
             x for x in grid_pts
@@ -320,16 +286,14 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
 
         n = len(grid_pts)
         order_bad = []
-        checked = 0
         for i in range(order_samples):
             x = grid_pts[(i * 7919) % n]
             y = grid_pts[(i * 104729 + 13) % n]
             expected = minkowski.leq(x, y) and x in scan.points
             actual = events.leq(model, LabeledPoint(x, a), LabeledPoint(y, b))
-            checked += 1
             if actual != expected:
                 order_bad.append((x, y))
         report.add(f"order {tag}", not order_bad,
-                   f"{checked} sampled pairs" if not order_bad
+                   f"{order_samples} sampled pairs" if not order_bad
                    else f"{len(order_bad)} disagreements; first {order_bad[0]!r}")
     return report

@@ -55,7 +55,10 @@ def region_cells(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: Grid
     if not 1 <= axis < model.dimension:
         raise DimensionMismatch(f"axis {axis} is not a spatial axis of the model")
     fixed = dict(fixed or {})
-    if 0 in fixed or axis in fixed:
+    for i in fixed:
+        if not 1 <= i < model.dimension:
+            raise DimensionMismatch(f"fixed axis {i} is not a spatial axis of the model")
+    if axis in fixed:
         raise DimensionMismatch("fixed coordinates cannot include the plotted axes")
 
     cells = []

@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import minkbranch as mb
-from minkbranch.cli import main
+from minkbranch.cli import build_parser, main
 from minkbranch.minkowski import point
 
 
@@ -123,14 +125,13 @@ def test_oracle_command_with_csv(capsys, tmp_path, two_path):
     assert len(lines) == 26
 
 
-def test_oracle_refine_below_one_is_usage_error(capsys, two_path):
-    for factor in ("0", "-1"):
-        code, out, err = run(capsys, [
-            "oracle", "--model", two_path, "--box", "-1,1", "-1,1", "--step", "1/2",
-            "--refine", factor,
-        ])
-        assert (code, out) == (2, "")
-        assert "refinement factor must be at least 1" in err
+def test_oracle_refine_is_gone(capsys, two_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "--model", two_path, "--box", "-1,1", "-1,1", "--step", "1/2",
+              "--refine", "8"])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    assert "--refine" in err
 
 
 def test_float_coordinates_are_usage_errors(capsys, two_path):
@@ -250,3 +251,57 @@ def test_non_string_scenario_is_usage_error(capsys, two_path):
         ])
         assert (code, out) == (2, ""), label
         assert "bad scenario" in err
+
+
+@pytest.mark.parametrize("fix", ["--fix=5=1", "--fix=-1=1/3", "--fix=0=0"])
+def test_plot_fix_outside_spatial_axes_is_usage_error(capsys, tmp_path, harmonic_path, fix):
+    svg_path = tmp_path / "region.svg"
+    code, out, err = run(capsys, [
+        "plot", "--model", harmonic_path, "--pair", "u,v",
+        "--box", "-1/2,1/2", "-1/2,1/2", "--svg", str(svg_path), fix,
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fixed axis")
+    assert not svg_path.exists()
+
+
+def test_unreadable_or_unwritable_files_are_usage_errors(capsys, tmp_path, two_path):
+    code, out, err = run(capsys, ["validate", "--model", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read model file")
+
+    missing_dir = tmp_path / "no" / "such"
+    code, out, err = run(capsys, [
+        "plot", "--model", two_path, "--pair", "s1,s2", "--box", "-1,1", "-1,1",
+        "--svg", str(missing_dir / "x.svg"),
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+
+    code, out, err = run(capsys, [
+        "oracle", "--model", two_path, "--box", "-1,1", "-1,1", "--step", "1/2",
+        "--csv", str(missing_dir / "x.csv"),
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+
+
+def _readme_command_sections():
+    """The README's "Command line" section, split at its `### command` headings."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    intro, *parts = re.split(r"^### ", section, flags=re.M)
+    return intro, [part.split("\n", 1) for part in parts]
+
+
+def test_readme_flags_are_accepted():
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "command").choices
+    accepted = {name: set(sub._option_string_actions) for name, sub in subparsers.items()}
+    intro, sections = _readme_command_sections()
+    assert {name for name, _ in sections} == set(accepted)
+    for flag in re.findall(r"--[a-z][a-z-]*", intro):
+        assert any(flag in flags for flags in accepted.values()), flag
+    for name, body in sections:
+        for flag in re.findall(r"--[a-z][a-z-]*", body):
+            assert flag in accepted[name], (name, flag)

@@ -144,6 +144,24 @@ def test_triangle_check_needs_three_distinct():
         triangle_check(m, "a", "b", "a")
 
 
+def test_truncation_below_one_is_rejected():
+    # the (a, c) member at (0, 500 + 1/2) is beside every member of the two
+    # rows; a truncation below 1 used to enumerate nothing and pass
+    m = mb.Model(2, ("a", "b", "c"), {
+        ("a", "b"): mb.IntegerRow(0),
+        ("b", "c"): mb.IntegerRow(0),
+        ("a", "c"): mb.HarmonicPair(point(0, 500)),
+    })
+    for truncate in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            validate_model(m, truncate=truncate)
+        with pytest.raises(ValueError, match="at least 1"):
+            triangle_check(m, "a", "b", "c", truncate=truncate)
+    report = validate_model(m, truncate=200)
+    assert not check_names(report)["triangle"]
+    assert "uncovered at Point(0, 1001/2)" in report.render()
+
+
 def test_infinite_families_validate_with_truncation(harmonic_model, integer_row_model):
     assert validate_model(harmonic_model).passed
     assert validate_model(integer_row_model, truncate=TRIANGLE_TRUNCATION).passed

@@ -14,7 +14,6 @@ from minkbranch.oracle import (
     oracle_choice_points,
     oracle_cross_check,
     oracle_overlap,
-    truncation_adequacy,
 )
 
 from conftest import build_random_battery
@@ -87,7 +86,7 @@ def test_oracle_choice_points_frozen(two_scenario_model):
 def test_refinement_removes_grid_blind_candidates():
     # both members sit one grid step from the origin; every grid point above
     # the origin is captured, yet (1/32, 0) escapes, so the origin is not
-    # maximal and refinement must find that out
+    # maximal and its escape witness must find that out
     model = mb.Model(2, ("a", "b"), {
         ("a", "b"): FiniteFamily((point(0, F(-1, 4)), point(0, F(1, 4)))),
     })
@@ -107,13 +106,13 @@ def test_refinement_keeps_true_emergent_candidate(harmonic_model):
     assert point(0, 0) not in scan.flagged
 
 
-def test_refine_factor_below_one_is_rejected(two_scenario_model):
-    grid = GridSpec(((-1, 1), (-1, 1)), F(1, 2))
-    for factor in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            oracle_choice_points(two_scenario_model, "s1", "s2", grid, refine_factor=factor)
-        with pytest.raises(ValueError, match="at least 1"):
-            oracle_cross_check(two_scenario_model, grid, refine_factor=factor)
+def test_escape_witness_sees_thin_wedges(harmonic_model):
+    # the wedge above (0, -3/32), between the members at -1/11 and -1/10, is
+    # about 0.0028 high: thinner than any fixed fraction of the 1/32 step
+    grid = GridSpec(((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2))), F(1, 32), truncate=1000)
+    report = oracle_cross_check(harmonic_model, grid)
+    assert report.passed, report.render()
+    assert report.notes == []
 
 
 def test_cross_check_scans_each_pair_once(monkeypatch, triangle_violation_model):
@@ -141,8 +140,8 @@ def test_cross_check_in_three_dimensions():
     scan = oracle_choice_points(model, "a", "b", grid)
     for x in grid.points():
         assert (x in scan.overlap.points) == model.in_overlap("a", "b", x), x
-    # both members are maximal; the origin is grid-blind, and only the
-    # refinement sees (1/8, 0, 0) escape above it
+    # both members are maximal; the origin is grid-blind, and only its
+    # escape witness sees the room above it
     assert point(0, F(-1, 2), 0) in scan.candidates
     assert point(0, F(1, 2), 0) in scan.candidates
     assert point(0, 0, 0) not in scan.candidates
@@ -150,21 +149,30 @@ def test_cross_check_in_three_dimensions():
 
 def test_truncation_adequacy_integer_row():
     row = IntegerRow(0)
+    model = mb.Model(2, ("p", "q"), {("p", "q"): row})
     box = ((-2, 2), (-2, 2))
+
+    def adequate(box, truncate):
+        return oracle_overlap(model, "p", "q", GridSpec(box, F(1, 4), truncate=truncate)).adequate
+
     # indices up to floor(2 + 2) = 4 are reachable from inside the box
-    assert truncation_adequacy(row, GridSpec(box, F(1, 4), truncate=4))[0]
-    assert not truncation_adequacy(row, GridSpec(box, F(1, 4), truncate=3))[0]
-    assert truncation_adequacy(row, GridSpec(((-3, -1), (-2, 2)), F(1, 4), truncate=1))[0]
+    assert adequate(box, 4)
+    assert not adequate(box, 3)
+    assert adequate(((-3, -1), (-2, 2)), 1)
     assert oracle.member_list(row, truncate=4)[-1] == point(0, 4)
 
 
 def test_truncation_adequacy_harmonic():
-    fam = HarmonicPair(point(0, 0))
+    model = mb.Model(2, ("u", "v"), {("u", "v"): HarmonicPair(point(0, 0))})
     box = ((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2)))
+
+    def adequate(truncate):
+        return oracle_overlap(model, "u", "v", GridSpec(box, F(1, 8), truncate=truncate)).adequate
+
     # the smallest positive lattice offsets are 1/8, so members past index
     # 8 can never reach a lattice point first
-    assert truncation_adequacy(fam, GridSpec(box, F(1, 8), truncate=8))[0]
-    assert not truncation_adequacy(fam, GridSpec(box, F(1, 8), truncate=7))[0]
+    assert adequate(8)
+    assert not adequate(7)
 
 
 def test_overlap_scan_reports_adequacy():
