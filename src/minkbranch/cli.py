@@ -8,11 +8,12 @@ usage errors (with the document location for model files).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 from . import binaryrow, events, histories, modelfile, oracle, plotting
 from .errors import MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario
@@ -42,6 +43,20 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the usage error that writing `path` would meet, before anything is written."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _parse_rational(value) -> Fraction:
@@ -195,15 +210,13 @@ def _cmd_oracle(args) -> int:
     model = _load_model(args.model)
     grid = GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)
     pairs = [_parse_pair(p) for p in args.pair] if args.pair else None
-    report = oracle.oracle_cross_check(model, grid, pairs=pairs)
+    if args.csv and grid.dimension != 2:
+        raise UsageError("CSV scans take a 2-D grid")
+    report, scans = oracle.cross_check_scans(model, grid, pairs=pairs)
     if args.csv:
-        if grid.dimension != 2:
-            raise UsageError("CSV scans take a 2-D grid")
-        target_pairs = pairs or list(combinations(model.scenarios, 2))
-        if not target_pairs:
+        if not scans:
             raise UsageError("CSV scans need a scenario pair")
-        a, b = target_pairs[0]
-        scan = oracle.oracle_choice_points(model, a, b, grid)
+        (a, b), scan = next(iter(scans.items()))
         cells = [
             plotting.PlotCell(x.coords[0], x.coords[1], x,
                               x in scan.overlap.points, x in scan.candidates)
@@ -229,12 +242,15 @@ def _cmd_plot(args) -> int:
             raise UsageError(f"bad --fix axis {axis_text!r}")
         fixed[axis] = _parse_rational(value)
     cells = plotting.region_cells(model, a, b, grid, axis=args.axis, fixed=fixed)
-    svg = plotting.render_svg(model, a, b, grid, cells, axis=args.axis, fixed=fixed)
-    _write_text(args.svg, svg)
-    print(f"wrote {args.svg}")
+    outputs = [(args.svg, plotting.render_svg(model, a, b, grid, cells,
+                                              axis=args.axis, fixed=fixed))]
     if args.csv:
-        _write_text(args.csv, plotting.render_csv(cells))
-        print(f"wrote {args.csv}")
+        outputs.append((args.csv, plotting.render_csv(cells)))
+    for path, _ in outputs:
+        _check_writable(path)
+    for path, text in outputs:
+        _write_text(path, text)
+        print(f"wrote {path}")
     return 0
 
 

@@ -23,7 +23,7 @@ from math import ceil, floor
 from typing import Iterator
 
 from .errors import DimensionMismatch
-from .minkowski import Point, leq, lt, point, rational
+from .minkowski import IntegerForm, Point, format_rational, leq, lt, point, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,6 +32,10 @@ _ONE = Fraction(1)
 def _check_planar(x: Point) -> None:
     if x.dimension != 2:
         raise DimensionMismatch("this family kind lives in two dimensions")
+
+
+def _format_point(p: Point) -> list[str]:
+    return [format_rational(c) for c in p.coords]
 
 
 def _unit_fraction_in(lo: Fraction, hi: Fraction) -> int | None:
@@ -50,8 +54,9 @@ def _unit_fraction_in(lo: Fraction, hi: Fraction) -> int | None:
 class SplittingFamily:
     """The protocol every family kind follows.
 
-    A kind writes `contains`, `members` and, where it has a closed form,
-    `first_strictly_below`; the other cone queries are derived here, once.
+    A kind writes `contains`, `members`, `file_data` and, where it has a
+    closed form, `first_strictly_below`; the other cone queries are derived
+    here, once.  An infinite kind also writes `members_needed`.
     """
 
     is_finite: bool
@@ -63,6 +68,19 @@ class SplittingFamily:
 
     def contains(self, x: Point) -> bool:
         raise NotImplementedError
+
+    def file_data(self) -> dict:
+        """The kind's "data" object in a model file."""
+        raise NotImplementedError
+
+    def members_needed(self, x: IntegerForm) -> int:
+        """A member index past which no member lies strictly below x.
+
+        Zero for the finite kinds, which are enumerated whole.  An infinite
+        kind reads only its parameters, never a closed-form query, with exact
+        integer arithmetic on x's integer form (D, nums).
+        """
+        return 0
 
     def first_strictly_below(self, x: Point) -> Point | None:
         """The first member strictly below x, by a linear scan (finite kinds)."""
@@ -113,6 +131,9 @@ class FiniteFamily(SplittingFamily):
     def contains(self, x: Point) -> bool:
         return x in self.points
 
+    def file_data(self) -> dict:
+        return {"points": [_format_point(p) for p in self.points]}
+
     def slr_violation(self) -> tuple[Point, Point] | None:
         """First ordered member pair, if the set is not pairwise space-like."""
         for i, a in enumerate(self.points):
@@ -146,6 +167,16 @@ class IntegerRow(SplittingFamily):
             return False
         u = x.coords[1]
         return u.denominator == 1 and u >= 0
+
+    def file_data(self) -> dict:
+        return {"t0": format_rational(self.t0)}
+
+    def members_needed(self, x: IntegerForm) -> int:
+        # (t0, n) < x needs dt > 0 and n <= x1 + dt.
+        d, (t, u, *_) = x
+        q, p = self.t0.denominator, self.t0.numerator
+        dt = t * q - p * d                      # (x0 - t0) * D * q
+        return max(0, (u * q + dt) // (d * q)) if dt > 0 else 0
 
     def first_strictly_below(self, x: Point) -> Point | None:
         _check_planar(x)
@@ -195,6 +226,21 @@ class HarmonicPair(SplittingFamily):
         inv = _ONE / abs(u)
         return inv.denominator == 1
 
+    def file_data(self) -> dict:
+        return {"center": _format_point(self.center)}
+
+    def members_needed(self, x: IntegerForm) -> int:
+        # center +- (0, 1/n) < x needs dt > 0 and 1/n <= dt +- u; the first
+        # such n is the ceiling of 1/(dt +- u).
+        d, (t, u, *_) = x
+        c0, c1 = self.center.coords
+        q = c0.denominator * c1.denominator
+        dt = t * q - c0.numerator * c1.denominator * d      # (x0 - c0) * D * q
+        if dt <= 0:
+            return 0
+        du = u * q - c1.numerator * c0.denominator * d
+        return max((-(-d * q // v) for v in (dt + du, dt - du) if v > 0), default=0)
+
     def first_strictly_below(self, x: Point) -> Point | None:
         _check_planar(x)
         c0, c1 = self.center.coords
@@ -226,13 +272,16 @@ class DifferenceRow(SplittingFamily):
     zeros_a: frozenset[int]
     zeros_b: frozenset[int]
     positions: tuple[int, ...] = field(init=False)
+    points: tuple[Point, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         za = frozenset(self._check_position(k) for k in self.zeros_a)
         zb = frozenset(self._check_position(k) for k in self.zeros_b)
+        positions = tuple(sorted(za ^ zb))
         object.__setattr__(self, "zeros_a", za)
         object.__setattr__(self, "zeros_b", zb)
-        object.__setattr__(self, "positions", tuple(sorted(za ^ zb)))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "points", tuple(point(self.row_time, j) for j in positions))
 
     @staticmethod
     def _check_position(k) -> int:
@@ -246,14 +295,16 @@ class DifferenceRow(SplittingFamily):
     row_time = _ZERO
 
     def members(self, limit: int | None = None) -> Iterator[Point]:
-        for j in self.positions:
-            yield point(self.row_time, j)
+        return iter(self.points)
 
     def contains(self, x: Point) -> bool:
         if x.dimension != 2 or x.coords[0] != self.row_time:
             return False
         u = x.coords[1]
         return u.denominator == 1 and int(u) in self.zeros_a ^ self.zeros_b
+
+    def file_data(self) -> dict:
+        return {"zeros_a": sorted(self.zeros_a), "zeros_b": sorted(self.zeros_b)}
 
 
 KIND_NAMES = {

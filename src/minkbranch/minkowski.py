@@ -6,21 +6,21 @@ The squared interval between x and y is
     -(x0 - y0)^2 + sum_i (xi - yi)^2
 
 and x causally precedes y when the interval is nonpositive and x is not
-later than y.  Everything here is computed with `fractions.Fraction`, so
-every predicate is exactly decidable; floats are rejected at construction
-time rather than silently truncated.
+later than y.  Coordinates are `fractions.Fraction`s, so every predicate is
+exactly decidable; floats are rejected at construction time rather than
+silently truncated.
 
-Enumeration loops that test one point against many use the integer form
-(D, nums) of each point instead: D is the lcm of its coordinate
-denominators and nums its coordinates times D.  `integer_lt` decides `lt`
-on two such forms with integer arithmetic alone.
+Each point also stores its integer form (D, nums), built once: D is the
+lcm of its coordinate denominators and nums its coordinates times D.  The
+order predicates and `interval` use stored forms and integer arithmetic
+alone; `translated` and `between` build the result's form from theirs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DimensionMismatch
 
@@ -29,6 +29,9 @@ from .errors import DimensionMismatch
 LIFT_GRAIN = 1 << 16
 
 _ZERO = Fraction(0)
+
+#: A point's integer form: (D, nums) with coords == tuple(n / D for n in nums).
+IntegerForm = tuple[int, tuple[int, ...]]
 
 
 def rational(value: Fraction | int | str) -> Fraction:
@@ -51,17 +54,26 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+def _lcm_form(coords: tuple[Fraction, ...]) -> IntegerForm:
+    dens = [c.denominator for c in coords]
+    d = lcm(*dens)
+    return d, tuple([c.numerator * (d // q) for c, q in zip(coords, dens)])
+
+
+@dataclass(frozen=True, slots=True)
 class Point:
     """An event location: a tuple of rational coordinates, time first."""
 
     coords: tuple[Fraction, ...]
+    #: The integer form (D, nums), D the lcm of the coordinate denominators.
+    form: IntegerForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coerced = tuple(rational(c) for c in self.coords)
+        coerced = tuple(map(rational, self.coords))
         if len(coerced) < 2:
             raise ValueError("a point needs a time coordinate and at least one spatial coordinate")
         object.__setattr__(self, "coords", coerced)
+        object.__setattr__(self, "form", _lcm_form(coerced))
 
     @property
     def dimension(self) -> int:
@@ -71,21 +83,30 @@ class Point:
     def time(self) -> Fraction:
         return self.coords[0]
 
-    @property
-    def spatial(self) -> tuple[Fraction, ...]:
-        return self.coords[1:]
-
-    def with_time(self, t: Fraction | int | str) -> "Point":
-        return Point((rational(t),) + self.coords[1:])
-
     def translated(self, delta: "Point | tuple") -> "Point":
-        other = delta.coords if isinstance(delta, Point) else tuple(rational(c) for c in delta)
-        if len(other) != len(self.coords):
+        other = delta.form if isinstance(delta, Point) else _lcm_form(
+            tuple(map(rational, delta)))
+        if len(other[1]) != len(self.coords):
             raise DimensionMismatch("translation vector has wrong dimension")
-        return Point(tuple(a + b for a, b in zip(self.coords, other)))
+        return _sum_point(self.form, other)
 
     def __repr__(self) -> str:
         return "Point(%s)" % ", ".join(str(c) for c in self.coords)
+
+
+def _sum_point(x: IntegerForm, y: IntegerForm, scale: int = 1) -> Point:
+    """The point (x + y) / scale, its form built from x's and y's without re-coercion."""
+    (dx, xn), (dy, yn) = x, y
+    k = lcm(dx, dy)
+    d, nums = k * scale, tuple([p * (k // dx) + q * (k // dy) for p, q in zip(xn, yn)])
+    g = gcd(d, *nums)
+    if g > 1:
+        d //= g
+        nums = tuple([n // g for n in nums])
+    p = object.__new__(Point)
+    object.__setattr__(p, "coords", tuple([Fraction(n, d) for n in nums]))
+    object.__setattr__(p, "form", (d, nums))
+    return p
 
 
 def point(*coords: Fraction | int | str) -> Point:
@@ -93,46 +114,56 @@ def point(*coords: Fraction | int | str) -> Point:
     return Point(tuple(coords))
 
 
-def _check_pair(x: Point, y: Point) -> None:
-    if x.dimension != y.dimension:
-        raise DimensionMismatch(f"points have dimensions {x.dimension} and {y.dimension}")
+def integer_form(x: Point) -> IntegerForm:
+    """The integer form (D, nums) of x, with D the lcm of its denominators."""
+    return x.form
+
+
+def _separation(x: Point, y: Point) -> tuple[int, int, int]:
+    """(dt, spread, D): y0 - x0 and the squared spatial distance, over D and D**2."""
+    dx, xn = x.form
+    dy, yn = y.form
+    if len(xn) != len(yn):
+        raise DimensionMismatch(f"points have dimensions {len(xn)} and {len(yn)}")
+    spread = 0
+    for i in range(1, len(xn)):
+        d = yn[i] * dx - xn[i] * dy
+        spread += d * d
+    return yn[0] * dx - xn[0] * dy, spread, dx * dy
 
 
 def interval(x: Point, y: Point) -> Fraction:
     """Squared Minkowski interval; negative timelike, zero lightlike, positive spacelike."""
-    _check_pair(x, y)
-    dt = x.coords[0] - y.coords[0]
-    total = -dt * dt
-    for a, b in zip(x.coords[1:], y.coords[1:]):
-        d = a - b
-        total += d * d
-    return total
+    dt, spread, d = _separation(x, y)
+    return Fraction(spread - dt * dt, d * d)
 
 
 def leq(x: Point, y: Point) -> bool:
-    """x causally precedes y (weakly): y is in the closed future cone of x."""
-    _check_pair(x, y)
-    if x.coords[0] > y.coords[0]:
+    """x causally precedes y (weakly): y is in the closed future cone of x.
+
+    Decided on the stored forms as in `integer_lt`, with dt >= 0.
+    """
+    dx, xn = x.form
+    dy, yn = y.form
+    if len(xn) != len(yn):
+        raise DimensionMismatch(f"points have dimensions {len(xn)} and {len(yn)}")
+    dt = yn[0] * dx - xn[0] * dy
+    if dt < 0:
         return False
-    return interval(x, y) <= 0
+    spread = 0
+    for i in range(1, len(xn)):
+        d = yn[i] * dx - xn[i] * dy
+        spread += d * d
+    return spread <= dt * dt
 
 
 def lt(x: Point, y: Point) -> bool:
     """Strict causal precedence: leq and distinct.
 
-    Lightlike-related distinct points count; the cone is closed.
+    Lightlike-related distinct points count; the cone is closed.  Stored
+    forms are lcm forms, so distinct points have distinct forms.
     """
-    return x != y and leq(x, y)
-
-
-#: A point's integer form: (D, nums) with coords == tuple(n / D for n in nums).
-IntegerForm = tuple[int, tuple[int, ...]]
-
-
-def integer_form(x: Point) -> IntegerForm:
-    """The integer form (D, nums) of x, with D the lcm of its denominators."""
-    d = lcm(*(c.denominator for c in x.coords))
-    return d, tuple(c.numerator * (d // c.denominator) for c in x.coords)
+    return leq(x, y) and x.form != y.form
 
 
 def integer_lt(m: IntegerForm, x: IntegerForm) -> bool:
@@ -189,12 +220,8 @@ def lift_above(a: Point, b: Point) -> Point:
     between a and b.  Only the ordering guarantees (a <= result, b <= result)
     are ever relied on, not minimality of the overshoot.
     """
-    _check_pair(a, b)
-    spread = _ZERO
-    for ai, bi in zip(a.coords[1:], b.coords[1:]):
-        d = ai - bi
-        spread += d * d
-    t = max(a.coords[0], b.coords[0]) + _dyadic_cover_sqrt(spread)
+    _, spread, d = _separation(a, b)
+    t = max(a.coords[0], b.coords[0]) + _dyadic_cover_sqrt(Fraction(spread, d * d))
     return Point((t,) + a.coords[1:])
 
 
@@ -207,5 +234,4 @@ def between(x: Point, y: Point) -> Point:
     """The midpoint of a strictly ordered pair; strictly between both ends."""
     if not lt(x, y):
         raise ValueError(f"between() needs a strictly ordered pair, got {x!r} and {y!r}")
-    half = Fraction(1, 2)
-    return Point(tuple((a + b) * half for a, b in zip(x.coords, y.coords)))
+    return _sum_point(x.form, y.form, 2)

@@ -37,7 +37,7 @@ from .families import (
     SplittingFamily,
     family_kind,
 )
-from .minkowski import Point, format_rational, rational
+from .minkowski import Point, rational
 from .model import Model
 
 
@@ -173,26 +173,12 @@ def load(path) -> Model:
         return loads(handle.read())
 
 
-def _format_point(p: Point) -> list[str]:
-    return [format_rational(c) for c in p.coords]
-
-
-def _family_data(family: SplittingFamily) -> dict:
-    if isinstance(family, FiniteFamily):
-        return {"points": [_format_point(p) for p in family.points]}
-    if isinstance(family, IntegerRow):
-        return {"t0": format_rational(family.t0)}
-    if isinstance(family, HarmonicPair):
-        return {"center": _format_point(family.center)}
-    return {"zeros_a": sorted(family.zeros_a), "zeros_b": sorted(family.zeros_b)}
-
-
 def dumps(model: Model) -> str:
     doc = {
         "dimension": model.dimension,
         "scenarios": list(model.scenarios),
         "families": [
-            {"pair": [a, b], "kind": family_kind(fam), "data": _family_data(fam)}
+            {"pair": [a, b], "kind": family_kind(fam), "data": fam.file_data()}
             for (a, b), fam in model.entries
         ],
     }

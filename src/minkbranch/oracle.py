@@ -7,16 +7,14 @@ above them still in the overlap.  No closed-form family query is consulted,
 which is the point: the oracle is the independent side of the agreement
 obligation on the analytic decision procedures.
 
-The enumeration runs on integer forms of the points
-(`minkowski.integer_form`), each built once per scan, and compares them
-with `minkowski.integer_lt`, the exact integer statement of `lt`.  Only
-the arithmetic is cheaper: the same members are tested against the same
-points, each test answers as `lt` would, and the forms are taken from the
-enumerated points, never from a family's closed form.
+The enumeration compares the integer forms that every point stores
+(`Point.form`) with `minkowski.integer_lt`, the exact integer statement of
+`lt`.  The forms belong to the enumerated points themselves, never to a
+family's closed form.
 
 Two honesty devices keep the enumeration meaningful:
 
-* truncation adequacy: per family kind, `members_needed` bounds the member
+* truncation adequacy: each family kind's `members_needed` bounds the member
   index past which no member can lie strictly below a given point; a scan
   whose cap covers that bound at every grid point is exact, and one that
   does not carries a warning;
@@ -34,7 +32,7 @@ are excluded from agreement obligations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
@@ -42,9 +40,9 @@ from math import isqrt
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
 from .events import LabeledPoint
-from .families import HarmonicPair, IntegerRow, SplittingFamily
+from .families import SplittingFamily
 from .histories import is_choice_point
-from .minkowski import IntegerForm, Point, integer_form, integer_lt, rational
+from .minkowski import IntegerForm, Point, integer_lt, rational
 from .model import BranchingModel, ScenarioId
 from .reporting import Report
 
@@ -100,17 +98,7 @@ def member_list(family: SplittingFamily, truncate: int) -> list[Point]:
     return list(family.members(limit=truncate))
 
 
-def _member_forms(family: SplittingFamily, grid: GridSpec) -> tuple[IntegerForm, ...]:
-    """Integer forms of the truncated members, checked against the grid's dimension."""
-    members = member_list(family, grid.truncate)
-    for m in members:
-        if m.dimension != grid.dimension:
-            raise DimensionMismatch(
-                f"points have dimensions {m.dimension} and {grid.dimension}")
-    return tuple(integer_form(m) for m in members)
-
-
-def _any_below(forms: tuple[IntegerForm, ...], x: IntegerForm) -> bool:
+def _any_below(forms: list[IntegerForm], x: IntegerForm) -> bool:
     """Some form in `forms` strictly precedes x."""
     for m in forms:
         if integer_lt(m, x):
@@ -118,39 +106,13 @@ def _any_below(forms: tuple[IntegerForm, ...], x: IntegerForm) -> bool:
     return False
 
 
-def members_needed(family: SplittingFamily, x: IntegerForm) -> int:
-    """A member index past which no member of the family lies strictly below x.
-
-    Zero for the finite kinds, which are enumerated whole.  The bound reads
-    only the kind's parameters (`t0`, `center`), never a closed-form query,
-    and is exact integer arithmetic on x's integer form (D, nums).
-    """
-    d, (t, u, *_) = x
-    if isinstance(family, IntegerRow):
-        # (t0, n) < x needs dt > 0 and n <= x1 + dt.
-        q, p = family.t0.denominator, family.t0.numerator
-        dt = t * q - p * d                      # (x0 - t0) * D * q
-        return max(0, (u * q + dt) // (d * q)) if dt > 0 else 0
-    if isinstance(family, HarmonicPair):
-        # center +- (0, 1/n) < x needs dt > 0 and 1/n <= dt +- u; the first
-        # such n is the ceiling of 1/(dt +- u).
-        c0, c1 = family.center.coords
-        q = c0.denominator * c1.denominator
-        dt = t * q - c0.numerator * c1.denominator * d      # (x0 - c0) * D * q
-        if dt <= 0:
-            return 0
-        du = u * q - c1.numerator * c0.denominator * d
-        return max((-(-d * q // v) for v in (dt + du, dt - du) if v > 0), default=0)
-    return 0
-
-
 @dataclass(frozen=True)
 class OverlapScan:
     points: frozenset[Point]
     adequate: bool
     note: str
-    #: Integer forms of the truncated members the scan tested.
-    member_forms: tuple[IntegerForm, ...] = field(compare=False, repr=False)
+    #: The truncated members the scan tested.
+    members: tuple[Point, ...]
 
 
 def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
@@ -159,10 +121,13 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     model.require_scenario(a)
     model.require_scenario(b)
     family = model.family(a, b)
-    members = _member_forms(family, grid)
-    forms = [(x, integer_form(x)) for x in grid.points()]
-    kept = frozenset(x for x, form in forms if not _any_below(members, form))
-    needed = max(members_needed(family, form) for _, form in forms)
+    members = tuple(member_list(family, grid.truncate))
+    forms = [m.form for m in members]
+    if any(len(nums) != grid.dimension for _, nums in forms):
+        raise DimensionMismatch(f"family members do not have the grid's dimension {grid.dimension}")
+    points = grid.points()
+    kept = frozenset(x for x in points if not _any_below(forms, x.form))
+    needed = max(family.members_needed(x.form) for x in points)
     note = f"member indices up to {needed} reachable, cap {grid.truncate}"
     return OverlapScan(kept, grid.truncate >= needed, note, members)
 
@@ -185,7 +150,7 @@ class ChoiceScan:
     overlap: OverlapScan
 
 
-def _has_escape_witness(x: IntegerForm, members: tuple[IntegerForm, ...],
+def _has_escape_witness(x: IntegerForm, members: tuple[Point, ...],
                         family: SplittingFamily, grid: GridSpec) -> bool:
     """Is y = x + (eps, 0), inside the box, provably in the overlap?
 
@@ -205,7 +170,8 @@ def _has_escape_witness(x: IntegerForm, members: tuple[IntegerForm, ...],
     if num <= 0:
         return False
     x0, spatial = xn[0], range(1, len(xn))
-    for dm, mn in members:
+    for m in members:
+        dm, mn = m.form
         dt = x0 * dm - mn[0] * dx
         if dt < 0:
             cut, cut_den = -dt, dm
@@ -220,7 +186,7 @@ def _has_escape_witness(x: IntegerForm, members: tuple[IntegerForm, ...],
                 return False            # x is a member
             num, den = cut, cut_den
     y = (dx * den, (xn[0] * den + num,) + tuple(c * den for c in xn[1:]))
-    return members_needed(family, y) <= grid.truncate
+    return family.members_needed(y) <= grid.truncate
 
 
 def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
@@ -229,12 +195,12 @@ def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     scan = oracle_overlap(model, a, b, grid)
     family = model.family(a, b)
     by_time = sorted(scan.points, key=lambda p: p.coords)
-    forms = [integer_form(x) for x in by_time]
+    forms = [x.form for x in by_time]
     candidates = []
     for i, x in enumerate(by_time):
         if any(integer_lt(forms[i], z) for z in forms[i + 1:]):
             continue
-        if _has_escape_witness(forms[i], scan.member_forms, family, grid):
+        if _has_escape_witness(forms[i], scan.members, family, grid):
             continue
         candidates.append(x)
 
@@ -251,7 +217,14 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
     spot checks re-evaluated from the definition (Minkowski order plus
     scanned overlap membership).
     """
+    return cross_check_scans(model, grid, pairs, order_samples)[0]
+
+
+def cross_check_scans(model: BranchingModel, grid: GridSpec, pairs=None,
+                      order_samples: int = 200) -> tuple[Report, dict[tuple, ChoiceScan]]:
+    """`oracle_cross_check` and the choice scan it made of each pair, in pair order."""
     report = Report("oracle-cross-check")
+    scans = {}
     if pairs is None:
         labels = model.scenario_list()
         if labels is None:
@@ -261,7 +234,7 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
     grid_pts = grid.points()
     for a, b in pairs:
         tag = f"{a}|{b}"
-        choice = oracle_choice_points(model, a, b, grid)
+        choice = scans[a, b] = oracle_choice_points(model, a, b, grid)
         scan = choice.overlap
         if not scan.adequate:
             report.note(f"{tag}: truncation not provably adequate: {scan.note}")
@@ -296,4 +269,4 @@ def oracle_cross_check(model: BranchingModel, grid: GridSpec,
         report.add(f"order {tag}", not order_bad,
                    f"{order_samples} sampled pairs" if not order_bad
                    else f"{len(order_bad)} disagreements; first {order_bad[0]!r}")
-    return report
+    return report, scans

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,21 @@ def build_random_battery(seeds=BATTERY_SEEDS):
     for seed in seeds:
         models.append(mb.random_model(random.Random(seed)))
     return models
+
+
+def reference_interval(x, y) -> Fraction:
+    """The squared interval from the definition, on the Fraction coordinates."""
+    dt = x.coords[0] - y.coords[0]
+    return -dt * dt + sum((a - b) ** 2 for a, b in zip(x.coords[1:], y.coords[1:]))
+
+
+def reference_leq(x, y) -> bool:
+    """The causal order from the definition: interval <= 0 and x not later than y."""
+    return x.coords[0] <= y.coords[0] and reference_interval(x, y) <= 0
+
+
+def reference_lt(x, y) -> bool:
+    return x.coords != y.coords and reference_leq(x, y)
 
 
 def overlap_inclusion_counterexample(model, a, b, c, points):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import minkbranch as mb
+from minkbranch import oracle
 from minkbranch.cli import build_parser, main
 from minkbranch.minkowski import point
 
@@ -123,6 +124,31 @@ def test_oracle_command_with_csv(capsys, tmp_path, two_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,x,in_region,choice_point"
     assert len(lines) == 26
+
+
+def test_oracle_csv_scans_each_pair_once(capsys, monkeypatch, tmp_path, harmonic_path,
+                                         triangle_path):
+    scanned = []
+    scan = oracle.oracle_overlap
+
+    def counting(model, a, b, grid):
+        scanned.append((a, b))
+        return scan(model, a, b, grid)
+
+    monkeypatch.setattr(oracle, "oracle_overlap", counting)
+    csv_path = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, [
+        "oracle", "--model", harmonic_path, "--box", "-1/2,1/2", "-1/2,1/2",
+        "--step", "1/8", "--csv", str(csv_path),
+    ])
+    assert code == 0
+    assert scanned == [("u", "v")]
+    assert "wrote oracle scan for pair u,v" in out
+
+    scanned.clear()
+    run(capsys, ["oracle", "--model", triangle_path, "--box", "-1,1", "-1,3",
+                 "--step", "1/2", "--csv", str(csv_path)])
+    assert sorted(scanned) == [("a", "b"), ("a", "c"), ("b", "c")]
 
 
 def test_oracle_refine_is_gone(capsys, two_path):
@@ -284,6 +310,24 @@ def test_unreadable_or_unwritable_files_are_usage_errors(capsys, tmp_path, two_p
     ])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write")
+
+
+def test_plot_writes_nothing_when_one_target_fails(capsys, tmp_path, harmonic_path):
+    svg_path = tmp_path / "ok.svg"
+    code, out, err = run(capsys, [
+        "plot", "--model", harmonic_path, "--pair", "u,v", "--box", "-1/2,1/2", "-1/2,1/2",
+        "--svg", str(svg_path), "--csv", str(tmp_path / "no" / "such" / "x.csv"),
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+    assert not svg_path.exists()
+
+    code, out, err = run(capsys, [
+        "plot", "--model", harmonic_path, "--pair", "u,v", "--box", "-1/2,1/2", "-1/2,1/2",
+        "--svg", str(svg_path), "--csv", str(tmp_path),
+    ])
+    assert (code, out) == (2, "")
+    assert not svg_path.exists()
 
 
 def _readme_command_sections():

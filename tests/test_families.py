@@ -191,6 +191,14 @@ def test_difference_row_equals_finite_family_queries():
         assert fam.contains(x) == explicit.contains(x)
 
 
+def test_difference_row_builds_its_members_once():
+    fam = DifferenceRow(frozenset({0, 3}), frozenset({1, 3, 5}))
+    first, again = list(fam.members()), list(fam.members())
+    assert first == [point(0, 0), point(0, 1), point(0, 5)]
+    assert all(a is b for a, b in zip(first, again))
+    assert fam == DifferenceRow(frozenset({0, 3}), frozenset({1, 3, 5}))
+
+
 def test_difference_row_identical_zero_sets_is_empty():
     fam = DifferenceRow(frozenset({1, 2}), frozenset({1, 2}))
     assert is_empty(fam)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from conftest import reference_interval, reference_leq, reference_lt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,7 @@ def _random_pair(rng: random.Random, dimension: int) -> tuple[Point, Point]:
 
 
 def test_integer_lt_matches_lt_on_random_rational_pairs():
+    # The kernel against the Fraction definition in conftest, not against itself.
     rng = random.Random(20070611)
     outcomes = {True: 0, False: 0}
     lightlike_below = 0
@@ -111,10 +113,13 @@ def test_integer_lt_matches_lt_on_random_rational_pairs():
         for _ in range(2000):
             x, y = _random_pair(rng, dimension)
             for m, z in ((x, y), (y, x)):
-                expected = lt(m, z)
+                expected = reference_lt(m, z)
                 assert integer_lt(integer_form(m), integer_form(z)) == expected, (m, z)
+                assert lt(m, z) == expected, (m, z)
+                assert leq(m, z) == reference_leq(m, z), (m, z)
+                assert interval(m, z) == reference_interval(m, z), (m, z)
                 outcomes[expected] += 1
-                lightlike_below += expected and interval(m, z) == 0
+                lightlike_below += expected and reference_interval(m, z) == 0
     assert min(outcomes.values()) > 1000
     assert lightlike_below > 100
 
@@ -125,8 +130,42 @@ def test_integer_lt_accepts_any_common_denominator():
         x, y = _random_pair(rng, rng.randint(2, 4))
         d, nums = integer_form(y)
         k = rng.randint(2, 50)
-        assert integer_lt(integer_form(x), (d * k, tuple(n * k for n in nums))) == lt(x, y)
+        scaled = (d * k, tuple(n * k for n in nums))
+        assert integer_lt(integer_form(x), scaled) == reference_lt(x, y)
         assert lcm(*(c.denominator for c in y.coords)) == d
+
+
+def _lcm_form(x: Point) -> tuple:
+    d = lcm(*(c.denominator for c in x.coords))
+    return d, tuple(int(c * d) for c in x.coords)
+
+
+def test_stored_form_is_the_lcm_form_of_every_constructed_point():
+    rng = random.Random(7)
+    for _ in range(300):
+        dimension = rng.randint(2, 4)
+        x, y = _random_pair(rng, dimension)
+        lo, hi = (x, y) if reference_leq(x, y) else (y, x)
+        made = [x, y, point(*x.coords), x.translated(y), x.translated(y.coords),
+                x.translated(tuple(-c for c in x.coords)), lift_above(x, y),
+                common_upper_bound(x, y)]
+        if reference_lt(lo, hi):
+            made.append(between(lo, hi))
+        for p in made:
+            assert p.form == integer_form(p) == _lcm_form(p), p
+            assert all(type(c) is F for c in p.coords), p
+    assert x.translated(y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+
+
+def test_hash_and_equality_read_only_the_coordinates():
+    p = point(F(1, 2), F(-3, 4), 5)
+    assert hash(p) == hash((p.coords,))
+    q = point("1/2", "-3/4", "5/1")
+    d, nums = q.form
+    object.__setattr__(q, "form", (2 * d, tuple(2 * n for n in nums)))
+    assert q == p and hash(q) == hash(p)
+    assert repr(q) == "Point(1/2, -3/4, 5)"
+    assert not hasattr(p, "__dict__")   # the form sits in a slot
 
 
 def test_lift_above_plane_example():
