@@ -5,130 +5,55 @@ are glued along splitting-point families, and every query is answered in
 exact arithmetic.  The oracle module re-derives region and choice-point
 answers by brute enumeration so the closed forms never get to grade
 their own homework.
+
+Importing the package loads none of its modules.  Each public name is
+listed once, under its module, in `_EXPORTS`; the first access to a name
+(or to a submodule, as in `minkbranch.oracle`) imports that module.  A
+name is looked up in its module on every access, never copied here, so
+the package always shows what the module holds.
 """
 
-from .binaryrow import (
-    BinaryRowModel,
-    PrefixZeroScenarios,
-    ZeroSetScenario,
-    centred_family_report,
-    chain_labeled,
-    chain_points,
-    exclusion_witness,
-    verify_chain,
-)
-from .errors import (
-    DimensionMismatch,
-    GridBudgetExceeded,
-    MissingFamily,
-    ModelFormatError,
-    ScenariosNotEnumerable,
-    UnknownScenario,
-    WitnessNotFound,
-)
-from .events import EventClass, LabeledPoint, event_class, glued, same_event
-from .families import (
-    DifferenceRow,
-    FiniteFamily,
-    HarmonicPair,
-    IntegerRow,
-    SplittingFamily,
-    family_kind,
-)
-from .histories import (
-    ChainSample,
-    History,
-    common_scenarios,
-    in_history,
-    is_choice_point,
-    is_generated_choice_point,
-    prior_choice_witness,
-    run_axiom_suite,
-    scenarios_at,
-)
-from .minkowski import (
-    Point,
-    between,
-    common_upper_bound,
-    comparable,
-    interval,
-    leq,
-    lift_above,
-    lt,
-    point,
-    rational,
-    slr,
-)
-from .model import BranchingModel, Model, triangle_check, validate_model
-from .modelfile import dump, dumps, load, loads
-from .oracle import GridSpec, oracle_choice_points, oracle_cross_check, oracle_overlap
-from .reporting import CheckResult, Report
-from .sampling import Sampler, SamplerConfig, random_model
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryRowModel",
-    "BranchingModel",
-    "ChainSample",
-    "CheckResult",
-    "DifferenceRow",
-    "DimensionMismatch",
-    "EventClass",
-    "FiniteFamily",
-    "GridBudgetExceeded",
-    "GridSpec",
-    "HarmonicPair",
-    "History",
-    "IntegerRow",
-    "LabeledPoint",
-    "MissingFamily",
-    "Model",
-    "ModelFormatError",
-    "Point",
-    "PrefixZeroScenarios",
-    "Report",
-    "Sampler",
-    "SamplerConfig",
-    "ScenariosNotEnumerable",
-    "SplittingFamily",
-    "UnknownScenario",
-    "WitnessNotFound",
-    "ZeroSetScenario",
-    "between",
-    "centred_family_report",
-    "chain_labeled",
-    "chain_points",
-    "common_scenarios",
-    "common_upper_bound",
-    "comparable",
-    "dump",
-    "dumps",
-    "event_class",
-    "exclusion_witness",
-    "family_kind",
-    "glued",
-    "in_history",
-    "interval",
-    "is_choice_point",
-    "is_generated_choice_point",
-    "leq",
-    "lift_above",
-    "load",
-    "loads",
-    "lt",
-    "oracle_choice_points",
-    "oracle_cross_check",
-    "oracle_overlap",
-    "point",
-    "prior_choice_witness",
-    "random_model",
-    "rational",
-    "run_axiom_suite",
-    "same_event",
-    "scenarios_at",
-    "slr",
-    "triangle_check",
-    "validate_model",
-    "verify_chain",
-]
+_EXPORTS = {
+    "binaryrow": ("BinaryRowModel", "PrefixZeroScenarios", "ZeroSetScenario",
+                  "centred_family_report", "chain_labeled", "chain_points",
+                  "exclusion_witness", "verify_chain"),
+    "errors": ("DimensionMismatch", "GridBudgetExceeded", "MissingFamily", "ModelFormatError",
+               "ScenariosNotEnumerable", "UnknownScenario", "WitnessNotFound"),
+    "events": ("EventClass", "LabeledPoint", "event_class", "glued", "same_event"),
+    "families": ("DifferenceRow", "FiniteFamily", "HarmonicPair", "IntegerRow",
+                 "SplittingFamily", "family_kind"),
+    "histories": ("ChainSample", "History", "common_scenarios", "in_history", "is_choice_point",
+                  "is_generated_choice_point", "prior_choice_witness", "run_axiom_suite",
+                  "scenarios_at"),
+    "minkowski": ("Point", "between", "common_upper_bound", "comparable", "interval", "leq",
+                  "lift_above", "lt", "point", "rational", "slr"),
+    "model": ("BranchingModel", "Model", "triangle_check", "validate_model"),
+    "modelfile": ("dump", "dumps", "load", "loads"),
+    "oracle": ("GridSpec", "oracle_choice_points", "oracle_cross_check", "oracle_overlap"),
+    "reporting": ("CheckResult", "Report"),
+    "sampling": ("Sampler", "SamplerConfig", "random_model"),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    if not name.startswith("_"):
+        try:
+            return import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,8 @@
 Exit codes: 0 all executed checks passed (queries count as data, not
 checks), 1 at least one check failed (witnesses are printed), 2 parse or
 usage errors (with the document location for model files).
+
+Each subcommand imports the modules it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ import re
 import sys
 from fractions import Fraction
 
-from . import binaryrow, events, histories, modelfile, oracle, plotting
+from . import modelfile
 from .errors import MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario
-from .events import LabeledPoint
 from .minkowski import Point, format_rational, rational
 from .model import Model, validate_model
-from .oracle import GridSpec
-from .sampling import SamplerConfig
 
 
 class UsageError(Exception):
@@ -91,7 +90,8 @@ def _parse_point(text: str, model: Model) -> Point:
     return Point(tuple(_parse_rational(c) for c in raw))
 
 
-def _parse_labeled(text: str, model: Model) -> LabeledPoint:
+def _parse_labeled(text: str, model: Model):
+    from .events import LabeledPoint
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -142,6 +142,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from . import events, histories
     model = _load_model(args.model)
     if args.what == "order":
         a = _parse_labeled(args.a, model)
@@ -162,6 +163,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_choice_points(args) -> int:
+    from . import histories
     model = _load_model(args.model)
     a, b = _parse_pair(args.pair)
     x = _parse_point(args.point, model)
@@ -176,6 +178,8 @@ def _cmd_choice_points(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from . import histories
+    from .sampling import SamplerConfig
     model = _load_model(args.model)
     config = SamplerConfig(
         seed=args.seed,
@@ -187,6 +191,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import binaryrow
     depth = args.depth
     print(f"binary-row chain to depth {depth}")
     print("declared infimum (-1/1, 0/1): below the whole row, glued for every scenario")
@@ -207,8 +212,9 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle, plotting
     model = _load_model(args.model)
-    grid = GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)
+    grid = oracle.GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)
     pairs = [_parse_pair(p) for p in args.pair] if args.pair else None
     if args.csv and grid.dimension != 2:
         raise UsageError("CSV scans take a 2-D grid")
@@ -228,6 +234,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import plotting
+    from .oracle import GridSpec
     model = _load_model(args.model)
     a, b = _parse_pair(args.pair)
     grid = GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)

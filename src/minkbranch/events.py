@@ -83,7 +83,6 @@ def event_class(model: BranchingModel, a: LabeledPoint) -> EventClass:
     if labels is None:
         raise ScenariosNotEnumerable(
             "scenario set is not enumerable; compare labeled points with same_event()")
-    model.require_scenario(a.scenario)
     members = frozenset(s for s in labels if model.in_overlap(a.scenario, s, a.point))
     return EventClass(a.point, members, a.scenario)
 

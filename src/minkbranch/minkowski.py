@@ -114,11 +114,6 @@ def point(*coords: Fraction | int | str) -> Point:
     return Point(tuple(coords))
 
 
-def integer_form(x: Point) -> IntegerForm:
-    """The integer form (D, nums) of x, with D the lcm of its denominators."""
-    return x.form
-
-
 def _separation(x: Point, y: Point) -> tuple[int, int, int]:
     """(dt, spread, D): y0 - x0 and the squared spatial distance, over D and D**2."""
     dx, xn = x.form

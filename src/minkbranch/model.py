@@ -51,6 +51,7 @@ class BranchingModel:
         raise NotImplementedError
 
     def family(self, a: ScenarioId, b: ScenarioId) -> SplittingFamily:
+        """The pair's splitting family; both labels are checked first."""
         raise NotImplementedError
 
     def require_scenario(self, label: ScenarioId) -> None:
@@ -63,14 +64,15 @@ class BranchingModel:
         Equivalently: do scenarios a and b still agree at x, so that the
         two labeled copies of x are one glued event?
         """
-        self.require_scenario(a)
-        self.require_scenario(b)
+        if a == b:
+            self.require_scenario(a)
+            family = None
+        else:
+            family = self.family(a, b)   # checks both labels
         if x.dimension != self.dimension:
             raise DimensionMismatch(
                 f"point has dimension {x.dimension}, model has {self.dimension}")
-        if a == b:
-            return True
-        return not self.family(a, b).any_strictly_below(x)
+        return family is None or not family.any_strictly_below(x)
 
 
 class Model(BranchingModel):
@@ -175,10 +177,8 @@ def triangle_check(
 ) -> TriangleResult:
     """Does every splitting point of (a, c) weakly dominate one of (a, b) or (b, c)?
 
-    Difference rows are checked by exact position containment (the symmetric
-    difference of two zero sets is always inside the union of the stepwise
-    symmetric differences).  Other kinds enumerate the (a, c) members, with
-    truncation when that family is infinite.
+    The (a, c) members are enumerated, with truncation when that family is
+    infinite.
     """
     _check_truncation(truncate)
     if len({a, b, c}) != 3:
@@ -186,14 +186,6 @@ def triangle_check(
     fam_ac = model.family(a, c)
     fam_ab = model.family(a, b)
     fam_bc = model.family(b, c)
-
-    if all(isinstance(f, DifferenceRow) for f in (fam_ac, fam_ab, fam_bc)):
-        covered = set(fam_ab.positions) | set(fam_bc.positions)
-        for j in fam_ac.positions:
-            if j not in covered:
-                return TriangleResult(False, Point((fam_ac.row_time, j)), "position containment")
-        return TriangleResult(True, None, "position containment")
-
     method = "exhaustive" if fam_ac.is_finite else f"members up to index {truncate}"
     for x in fam_ac.members(limit=truncate):
         if not (fam_ab.any_weakly_below(x) or fam_bc.any_weakly_below(x)):

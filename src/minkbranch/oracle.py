@@ -118,8 +118,6 @@ class OverlapScan:
 def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
                    grid: GridSpec) -> OverlapScan:
     """Grid points with no truncated member strictly below them."""
-    model.require_scenario(a)
-    model.require_scenario(b)
     family = model.family(a, b)
     members = tuple(member_list(family, grid.truncate))
     forms = [m.form for m in members]

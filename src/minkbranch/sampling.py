@@ -18,9 +18,16 @@ from .model import Model
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 
+#: Half the side of the default sampling box, per axis.
+BOX_HALF_WIDTH = 2
+#: Most lattice steps a causal displacement takes in time.
+MAX_STEPS = 8
+#: Most scenarios a random model has.
+MAX_SCENARIOS = 5
 
-def default_box(dimension: int, half_width: int = 2) -> Box:
-    w = Fraction(half_width)
+
+def default_box(dimension: int) -> Box:
+    w = Fraction(BOX_HALF_WIDTH)
     return tuple((-w, w) for _ in range(dimension))
 
 
@@ -62,14 +69,14 @@ class Sampler:
     def point(self) -> Point:
         return Point(tuple(self.fraction(axis) for axis in range(self.dimension)))
 
-    def causal_delta(self, max_steps: int = 8) -> tuple[Fraction, ...]:
+    def causal_delta(self) -> tuple[Fraction, ...]:
         """A displacement (dt, delta...) with spatial length at most dt.
 
         The per-coordinate bound dt/(d-1) keeps the Euclidean length inside
         the cone exactly; in two dimensions the full cone including the
         lightlike edge is reachable.
         """
-        k = self.rng.randint(1, max_steps)
+        k = self.rng.randint(1, MAX_STEPS)
         dt = self.step * k
         spatial_span = k // (self.dimension - 1)
         delta = tuple(
@@ -78,8 +85,8 @@ class Sampler:
         )
         return (dt,) + delta
 
-    def point_above(self, x: Point, max_steps: int = 8) -> Point:
-        return x.translated(self.causal_delta(max_steps))
+    def point_above(self, x: Point) -> Point:
+        return x.translated(self.causal_delta())
 
     def ascending_chain(self, length: int, start: Point | None = None) -> list[Point]:
         current = start if start is not None else self.point()
@@ -101,7 +108,7 @@ _POOL_X = (-2, -1, 0, 1, 2)
 _POOL_T = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 
 
-def random_model(rng: random.Random, max_scenarios: int = 5) -> Model:
+def random_model(rng: random.Random) -> Model:
     """A random finite model that is validated by construction.
 
     Each scenario gets a distinct bit vector over a pool of pairwise
@@ -117,7 +124,7 @@ def random_model(rng: random.Random, max_scenarios: int = 5) -> Model:
     xs = rng.sample(_POOL_X, pool_size)
     pool = [Point((rng.choice(_POOL_T), Fraction(x))) for x in sorted(xs)]
 
-    n_scenarios = rng.randint(2, min(max_scenarios, 2 ** pool_size))
+    n_scenarios = rng.randint(2, min(MAX_SCENARIOS, 2 ** pool_size))
     vectors: set[tuple[int, ...]] = set()
     while len(vectors) < n_scenarios:
         vectors.add(tuple(rng.randint(0, 1) for _ in range(pool_size)))

@@ -35,6 +35,20 @@ def reference_lt(x, y) -> bool:
     return x.coords != y.coords and reference_leq(x, y)
 
 
+def reference_difference_triangle(ab, bc, ac):
+    """The triangle rule for three difference rows, by position containment.
+
+    Every row sits at time 0, so a member (0, j) of (a, c) weakly dominates
+    a member of another row exactly when that row also differs at j.
+    Returns the first uncovered (a, c) member, or None when all are covered.
+    """
+    covered = set(ab.positions) | set(bc.positions)
+    for j in ac.positions:
+        if j not in covered:
+            return point(0, j)
+    return None
+
+
 def overlap_inclusion_counterexample(model, a, b, c, points):
     """First sampled point in both stepwise overlaps but not the direct one.
 

@@ -15,7 +15,6 @@ from minkbranch.minkowski import (
     between,
     common_upper_bound,
     comparable,
-    integer_form,
     integer_lt,
     interval,
     leq,
@@ -74,8 +73,8 @@ def test_order_rejects_mixed_dimensions():
 
 def test_integer_form_example():
     x = point(F(-3, 4), 2, F(5, 6))
-    assert integer_form(x) == (12, (-9, 24, 10))
-    assert integer_form(point(0, 0)) == (1, (0, 0))
+    assert x.form == (12, (-9, 24, 10))
+    assert point(0, 0).form == (1, (0, 0))
 
 
 # Integer spatial offsets of length 1, 5 and 7 in dimensions 2, 3 and 4:
@@ -114,7 +113,7 @@ def test_integer_lt_matches_lt_on_random_rational_pairs():
             x, y = _random_pair(rng, dimension)
             for m, z in ((x, y), (y, x)):
                 expected = reference_lt(m, z)
-                assert integer_lt(integer_form(m), integer_form(z)) == expected, (m, z)
+                assert integer_lt(m.form, z.form) == expected, (m, z)
                 assert lt(m, z) == expected, (m, z)
                 assert leq(m, z) == reference_leq(m, z), (m, z)
                 assert interval(m, z) == reference_interval(m, z), (m, z)
@@ -128,10 +127,10 @@ def test_integer_lt_accepts_any_common_denominator():
     rng = random.Random(5)
     for _ in range(500):
         x, y = _random_pair(rng, rng.randint(2, 4))
-        d, nums = integer_form(y)
+        d, nums = y.form
         k = rng.randint(2, 50)
         scaled = (d * k, tuple(n * k for n in nums))
-        assert integer_lt(integer_form(x), scaled) == reference_lt(x, y)
+        assert integer_lt(x.form, scaled) == reference_lt(x, y)
         assert lcm(*(c.denominator for c in y.coords)) == d
 
 
@@ -152,7 +151,7 @@ def test_stored_form_is_the_lcm_form_of_every_constructed_point():
         if reference_lt(lo, hi):
             made.append(between(lo, hi))
         for p in made:
-            assert p.form == integer_form(p) == _lcm_form(p), p
+            assert p.form == _lcm_form(p), p
             assert all(type(c) is F for c in p.coords), p
     assert x.translated(y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
 

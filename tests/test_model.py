@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,11 @@ from minkbranch.model import (
     validate_model,
 )
 
-from conftest import build_random_battery, overlap_inclusion_counterexample
+from conftest import (
+    build_random_battery,
+    overlap_inclusion_counterexample,
+    reference_difference_triangle,
+)
 
 
 def check_names(report):
@@ -56,6 +61,24 @@ def test_in_overlap_basics(two_scenario_model):
         m.in_overlap("s1", "nope", point(0, 0))
     with pytest.raises(DimensionMismatch):
         m.in_overlap("s1", "s2", point(0, 0, 0))
+
+
+def test_in_overlap_checks_each_label_once(two_scenario_model):
+    checked = []
+
+    class Counting(mb.Model):
+        def has_scenario(self, label):
+            checked.append(label)
+            return super().has_scenario(label)
+
+    m = Counting(2, ("s1", "s2"), two_scenario_model.entries)
+    assert not m.in_overlap("s1", "s2", point(1, 0))
+    assert checked == ["s1", "s2"]
+    # the same-scenario shortcut still checks its label, before the dimension
+    with pytest.raises(UnknownScenario):
+        m.in_overlap("nope", "nope", point(0, 0, 0))
+    with pytest.raises(UnknownScenario):
+        m.in_overlap("s1", "nope", point(0, 0, 0))
 
 
 def test_family_lookup_is_symmetric_and_first_wins():
@@ -123,8 +146,27 @@ def test_triangle_passes_on_nested_differences():
         for s, t in (("a", "b"), ("b", "c"), ("a", "c"))
     })
     result = triangle_check(m, "a", "b", "c")
-    assert result.ok and result.method == "position containment"
+    assert result.ok and result.method == "exhaustive"
     assert validate_model(m).passed
+
+
+def test_triangle_check_matches_position_containment_on_difference_rows():
+    rng = random.Random(2007)
+
+    def row():
+        return mb.DifferenceRow(frozenset(rng.sample(range(8), rng.randint(0, 4))),
+                                frozenset(rng.sample(range(8), rng.randint(0, 4))))
+
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        ab, bc, ac = row(), row(), row()
+        m = mb.Model(2, ("a", "b", "c"), {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ac})
+        result = triangle_check(m, "a", "b", "c", truncate=1)
+        witness = reference_difference_triangle(ab, bc, ac)
+        assert (result.ok, result.witness) == (witness is None, witness), (ab, bc, ac)
+        assert result.method == "exhaustive"
+        verdicts[result.ok] += 1
+    assert min(verdicts.values()) > 100
 
 
 def test_difference_consistency_check():

@@ -1,0 +1,59 @@
+"""The package's import surface: what each entry point loads, in fresh interpreters."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import minkbranch as mb
+
+SRC = Path(mb.__file__).resolve().parent.parent
+MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
+
+QUERY_MODULES = {"events", "histories", "sampling", "binaryrow", "oracle", "plotting"}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The minkbranch submodules loaded once `code` has run in a new interpreter."""
+    report = ("import json, sys\n"
+              "print(json.dumps(sorted(n.split('.', 1)[1] for n in sys.modules"
+              " if n.startswith('minkbranch.'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import minkbranch") == set()
+
+
+def test_cli_import_loads_only_what_parsing_needs():
+    assert loaded_after("import minkbranch.cli") == {
+        "cli", "errors", "families", "minkowski", "model", "modelfile", "reporting"}
+
+
+def test_validate_loads_no_query_module():
+    code = (f"from minkbranch.cli import main\n"
+            f"assert main(['validate', '--model', {str(MODELS / 'two_scenarios.mbs')!r}]) == 0")
+    assert not loaded_after(code) & QUERY_MODULES
+
+
+def test_submodule_resolves_on_first_access():
+    assert "binaryrow" in loaded_after(
+        "import minkbranch as mb\nassert mb.binaryrow.chain_points(2)")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nosuch"):
+        mb.nosuch
+    with pytest.raises(ImportError):
+        from minkbranch import nosuch  # noqa: F401
+
+
+def test_dir_lists_every_public_name():
+    assert set(mb.__all__) <= set(dir(mb))
+    assert "__version__" in dir(mb)
