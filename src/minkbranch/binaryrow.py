@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import events
 from .events import LabeledPoint
-from .families import DifferenceRow
+from .families import DifferenceRow, zero_position
 from .minkowski import Point, point
 from .model import BranchingModel
 from .reporting import Report
@@ -38,11 +38,7 @@ class ZeroSetScenario:
     zeros: frozenset[int]
 
     def __post_init__(self):
-        normalized = frozenset(self.zeros)
-        for k in normalized:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"zero positions must be nonnegative integers, got {k!r}")
-        object.__setattr__(self, "zeros", normalized)
+        object.__setattr__(self, "zeros", frozenset(map(zero_position, self.zeros)))
 
     @classmethod
     def leading_zeros(cls, count: int) -> "ZeroSetScenario":

@@ -17,6 +17,7 @@ truncated member lists; the oracle module cross-checks that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
@@ -32,6 +33,13 @@ _ONE = Fraction(1)
 def _check_planar(x: Point) -> None:
     if x.dimension != 2:
         raise DimensionMismatch("this family kind lives in two dimensions")
+
+
+def zero_position(k) -> int:
+    """k itself, when it is a valid zero position: a nonnegative int, not a bool."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"zero positions must be nonnegative integers, got {k!r}")
+    return k
 
 
 def _format_point(p: Point) -> list[str]:
@@ -83,7 +91,7 @@ class SplittingFamily:
         return 0
 
     def first_strictly_below(self, x: Point) -> Point | None:
-        """The first member strictly below x, by a linear scan (finite kinds)."""
+        """The first member strictly below x, by a linear member scan."""
         for m in self.members():
             if lt(m, x):
                 return m
@@ -275,19 +283,13 @@ class DifferenceRow(SplittingFamily):
     points: tuple[Point, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        za = frozenset(self._check_position(k) for k in self.zeros_a)
-        zb = frozenset(self._check_position(k) for k in self.zeros_b)
+        za = frozenset(map(zero_position, self.zeros_a))
+        zb = frozenset(map(zero_position, self.zeros_b))
         positions = tuple(sorted(za ^ zb))
         object.__setattr__(self, "zeros_a", za)
         object.__setattr__(self, "zeros_b", zb)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "points", tuple(point(self.row_time, j) for j in positions))
-
-    @staticmethod
-    def _check_position(k) -> int:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError(f"zero positions must be nonnegative integers, got {k!r}")
-        return k
 
     is_finite = True
     slr_by_construction = True
@@ -301,7 +303,19 @@ class DifferenceRow(SplittingFamily):
         if x.dimension != 2 or x.coords[0] != self.row_time:
             return False
         u = x.coords[1]
-        return u.denominator == 1 and int(u) in self.zeros_a ^ self.zeros_b
+        return u.denominator == 1 and u.numerator in self.positions
+
+    def first_strictly_below(self, x: Point) -> Point | None:
+        # (0, j) < x exactly when x0 > 0 and |x1 - j| <= x0: the first
+        # position j >= ceil(x1 - x0), if it is at most x1 + x0.
+        _check_planar(x)
+        d, (t, u) = x.form
+        if t <= 0:
+            return None
+        i = bisect_left(self.positions, -((t - u) // d))
+        if i < len(self.positions) and self.positions[i] * d <= u + t:
+            return self.points[i]
+        return None
 
     def file_data(self) -> dict:
         return {"zeros_a": sorted(self.zeros_a), "zeros_b": sorted(self.zeros_b)}

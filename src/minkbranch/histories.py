@@ -165,97 +165,55 @@ def prior_choice_witness(model: BranchingModel, a: ScenarioId, b: ScenarioId,
 # ---------------------------------------------------------------------------
 
 
-def _check_density(model: Model, sampler: Sampler, cases: int):
-    failures = []
-    labels = model.scenario_list()
-    for _ in range(cases):
-        s = sampler.choice(labels)
-        x = sampler.point()
-        y = sampler.point_above(x)
-        z = minkowski.between(x, y)
-        lo, mid, hi = (LabeledPoint(p, s) for p in (x, z, y))
-        if not (events.lt(model, lo, mid) and events.lt(model, mid, hi)):
-            failures.append((x, y))
-    return failures
+def _density(model: Model, sampler: Sampler, s: ScenarioId):
+    x = sampler.point()
+    y = sampler.point_above(x)
+    lo, mid, hi = (LabeledPoint(p, s) for p in (x, minkowski.between(x, y), y))
+    return None if events.lt(model, lo, mid) and events.lt(model, mid, hi) else (x, y)
 
 
-def _check_no_maximal(model: Model, sampler: Sampler, cases: int):
-    failures = []
-    labels = model.scenario_list()
-    bump = (minkowski.rational(1),) + (minkowski.rational(0),) * (model.dimension - 1)
-    for _ in range(cases):
-        s = sampler.choice(labels)
-        x = sampler.point()
-        above = x.translated(bump)
-        if not events.lt(model, LabeledPoint(x, s), LabeledPoint(above, s)):
-            failures.append(x)
-    return failures
+def _no_maximal(model: Model, sampler: Sampler, s: ScenarioId):
+    x = sampler.point()
+    above = x.translated(minkowski.point(1, *[0] * (model.dimension - 1)))
+    return None if events.lt(model, LabeledPoint(x, s), LabeledPoint(above, s)) else x
 
 
-def _check_infima(model: Model, sampler: Sampler, cases: int):
+def _infimum(model: Model, sampler: Sampler, s: ScenarioId):
     # Finite chains: the minimum is the infimum.  Verify it bounds the chain
     # and dominates sampled lower bounds, all through the event order.
-    failures = []
-    labels = model.scenario_list()
-    for _ in range(cases):
-        s = sampler.choice(labels)
-        chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
-        inf = chain[0]
-        ok = all(events.leq(model, LabeledPoint(inf, s), LabeledPoint(p, s)) for p in chain)
-        for _ in range(3):
-            delta = sampler.causal_delta()
-            bound = inf.translated(tuple(-c for c in delta))
-            ok = ok and events.leq(model, LabeledPoint(bound, s), LabeledPoint(inf, s))
-        if not ok:
-            failures.append(tuple(chain))
-    return failures
+    chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
+    inf = chain[0]
+    ok = all(events.leq(model, LabeledPoint(inf, s), LabeledPoint(p, s)) for p in chain)
+    for _ in range(3):
+        bound = sampler.point_below(inf)
+        ok = ok and events.leq(model, LabeledPoint(bound, s), LabeledPoint(inf, s))
+    return None if ok else tuple(chain)
 
 
-def _check_suprema(model: Model, sampler: Sampler, cases: int):
+def _supremum(model: Model, sampler: Sampler, s: ScenarioId):
     # Within-label suprema of finite chains: the maximum, checked in every
-    # history that contains the whole chain.  Cross-label suprema at choice
-    # points are noted, not certified.
-    failures = []
-    labels = model.scenario_list()
-    for _ in range(cases):
-        s = sampler.choice(labels)
-        chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
-        sup = chain[-1]
-        containing = [
-            t for t in labels
-            if all(model.in_overlap(s, t, p) for p in chain)
-        ]
-        ok = bool(containing)  # the label itself always contains its chain
-        for t in containing:
+    # history that contains the whole chain (s itself always does).
+    chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
+    sup = chain[-1]
+    ok = True
+    for t in model.scenario_list():
+        if all(model.in_overlap(s, t, p) for p in chain):
             ok = ok and all(
                 events.leq(model, LabeledPoint(p, s), LabeledPoint(sup, t)) for p in chain)
             for _ in range(2):
-                upper = sup.translated(sampler.causal_delta())
+                upper = sampler.point_above(sup)
                 ok = ok and events.leq(model, LabeledPoint(sup, s), LabeledPoint(upper, t))
-        if not ok:
-            failures.append(tuple(chain))
-    return failures
+    return None if ok else tuple(chain)
 
 
-def _check_prior_choice(model: Model, sampler: Sampler, cases: int):
-    failures = []
-    pairs = []
-    for a, b in model.scenario_pairs():
-        fam = model.family(a, b)
-        first = next(iter(fam.members(limit=4)), None)
-        if first is not None:
-            pairs.append((a, b, first))
-    if not pairs:
-        return failures, "no scenario pairs; principle holds vacuously"
-    for _ in range(cases):
-        a, b, seed_point = sampler.choice(pairs)
-        start = seed_point.translated(sampler.causal_delta())
-        chain = ChainSample(tuple(sampler.ascending_chain(3, start=start)))
-        try:
-            prior_choice_witness(model, a, b, chain)   # a choice point, or it raises
-        except (ValueError, WitnessNotFound) as exc:
-            failures.append((a, b, chain.minimum, str(exc)))
-    return failures, None
+def _prior_choice(model: Model, sampler: Sampler, pair):
+    a, b, seed_point = pair
+    chain = ChainSample(tuple(sampler.ascending_chain(3, start=sampler.point_above(seed_point))))
+    try:
+        prior_choice_witness(model, a, b, chain)   # a choice point, or it raises
+    except (ValueError, WitnessNotFound) as exc:
+        return (a, b, chain.minimum, str(exc))
+    return None
 
 
 def run_axiom_suite(model: Model, config: SamplerConfig | None = None) -> Report:
@@ -263,6 +221,7 @@ def run_axiom_suite(model: Model, config: SamplerConfig | None = None) -> Report
 
     Refuses to run (reporting the validation failure) when the model does
     not validate; the axioms are only meaningful over a genuine equivalence.
+    Each axiom's check runs on `cases` drawn labels (pairs, for prior choice).
     """
     config = config or SamplerConfig()
     report = Report("axiom-suite")
@@ -275,20 +234,24 @@ def run_axiom_suite(model: Model, config: SamplerConfig | None = None) -> Report
 
     cases = config.cases
     sampler = Sampler(config, model.dimension)
-
-    def summarize(name: str, failures, extra: str | None = None):
-        detail = f"{cases} cases"
-        if extra:
-            detail += f"; {extra}"
+    labels = model.scenario_list()
+    pairs = [(a, b, first) for a, b in model.scenario_pairs()
+             if (first := next(iter(model.family(a, b).members(limit=4)), None)) is not None]
+    axioms = (
+        ("density", _density, labels, None),
+        ("no-maximal", _no_maximal, labels, None),
+        ("chain-infima", _infimum, labels, None),
+        ("chain-suprema", _supremum, labels,
+         "within-label; cross-label suprema at choice points not certified"),
+        ("prior-choice", _prior_choice, pairs,
+         None if pairs else "no scenario pairs; principle holds vacuously"),
+    )
+    for name, check, items, note in axioms:
+        failures = [failure for _ in range(cases if items else 0)
+                    if (failure := check(model, sampler, sampler.choice(items))) is not None]
         if failures:
             detail = f"{len(failures)}/{cases} failures; first: {failures[0]!r}"
+        else:
+            detail = f"{cases} cases; {note}" if note else f"{cases} cases"
         report.add(name, not failures, detail)
-
-    summarize("density", _check_density(model, sampler, cases))
-    summarize("no-maximal", _check_no_maximal(model, sampler, cases))
-    summarize("chain-infima", _check_infima(model, sampler, cases))
-    summarize("chain-suprema", _check_suprema(model, sampler, cases),
-              "within-label; cross-label suprema at choice points not certified")
-    pcp_failures, pcp_note = _check_prior_choice(model, sampler, cases)
-    summarize("prior-choice", pcp_failures, pcp_note)
     return report

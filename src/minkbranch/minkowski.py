@@ -98,7 +98,11 @@ def _sum_point(x: IntegerForm, y: IntegerForm, scale: int = 1) -> Point:
     """The point (x + y) / scale, its form built from x's and y's without re-coercion."""
     (dx, xn), (dy, yn) = x, y
     k = lcm(dx, dy)
-    d, nums = k * scale, tuple([p * (k // dx) + q * (k // dy) for p, q in zip(xn, yn)])
+    return from_form(k * scale, tuple([p * (k // dx) + q * (k // dy) for p, q in zip(xn, yn)]))
+
+
+def from_form(d: int, nums: tuple[int, ...]) -> Point:
+    """The point with coordinates nums / d, d > 0; its stored form is reduced to the lcm form."""
     g = gcd(d, *nums)
     if g > 1:
         d //= g
@@ -196,15 +200,9 @@ def _dyadic_cover_sqrt(s: Fraction) -> Fraction:
     """Smallest r = p / 2**16 with p a nonnegative integer and r*r >= s."""
     if s <= 0:
         return _ZERO
-    # r*r >= s  <=>  p*p * den >= num << 32, for s = num/den.
-    target = s.numerator << 32
-    den = s.denominator
-    p = isqrt(target // den)
-    while p * p * den < target:
-        p += 1
-    while p > 0 and (p - 1) * (p - 1) * den >= target:
-        p -= 1
-    return Fraction(p, LIFT_GRAIN)
+    # r*r >= s  <=>  p*p >= T/den with T = num << 32 >= 1, for s = num/den;
+    # the least such p is isqrt(ceil(T/den) - 1) + 1.
+    return Fraction(isqrt(-(-(s.numerator << 32) // s.denominator) - 1) + 1, LIFT_GRAIN)
 
 
 def lift_above(a: Point, b: Point) -> Point:

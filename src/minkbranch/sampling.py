@@ -2,7 +2,9 @@
 
 Samples live on a rational lattice (box plus step), so every sampled
 coordinate is an exact Fraction and a (seed, config) pair reproduces the
-same stream byte for byte.
+same stream byte for byte.  The sampler keeps the lattice as integers over
+one common denominator and builds each point from its integer form, with
+no Fraction arithmetic per draw.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .families import FiniteFamily
-from .minkowski import Point, rational
+from .minkowski import IntegerForm, Point, _sum_point, from_form, rational
 from .model import Model
 
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -55,38 +58,39 @@ class Sampler:
 
     def __init__(self, config: SamplerConfig, dimension: int):
         self.dimension = dimension
-        self.step = rational(config.step)
-        if self.step <= 0:
+        step = rational(config.step)
+        if step <= 0:
             raise ValueError("sampler step must be positive")
-        self.box = config.resolved_box(dimension)
+        box = config.resolved_box(dimension)
         self.rng = random.Random(config.seed)
-        self._counts = [int((hi - lo) / self.step) for lo, hi in self.box]
-
-    def fraction(self, axis: int) -> Fraction:
-        lo, _ = self.box[axis]
-        return lo + self.step * self.rng.randint(0, self._counts[axis])
+        self._den = lcm(step.denominator, *(lo.denominator for lo, _ in box))
+        self._step = step.numerator * (self._den // step.denominator)
+        self._low = tuple(lo.numerator * (self._den // lo.denominator) for lo, _ in box)
+        self._counts = [int((hi - lo) / step) for lo, hi in box]
 
     def point(self) -> Point:
-        return Point(tuple(self.fraction(axis) for axis in range(self.dimension)))
+        return from_form(self._den, tuple([
+            lo + self._step * self.rng.randint(0, n) for lo, n in zip(self._low, self._counts)]))
 
-    def causal_delta(self) -> tuple[Fraction, ...]:
-        """A displacement (dt, delta...) with spatial length at most dt.
+    def causal_delta(self) -> IntegerForm:
+        """A displacement (dt, delta...) with spatial length at most dt, as an integer form.
 
         The per-coordinate bound dt/(d-1) keeps the Euclidean length inside
         the cone exactly; in two dimensions the full cone including the
         lightlike edge is reachable.
         """
         k = self.rng.randint(1, MAX_STEPS)
-        dt = self.step * k
         spatial_span = k // (self.dimension - 1)
-        delta = tuple(
-            self.step * self.rng.randint(-spatial_span, spatial_span)
-            for _ in range(self.dimension - 1)
-        )
-        return (dt,) + delta
+        return self._den, (self._step * k,) + tuple([
+            self._step * self.rng.randint(-spatial_span, spatial_span)
+            for _ in range(self.dimension - 1)])
 
     def point_above(self, x: Point) -> Point:
-        return x.translated(self.causal_delta())
+        return _sum_point(x.form, self.causal_delta())
+
+    def point_below(self, x: Point) -> Point:
+        d, nums = self.causal_delta()
+        return _sum_point(x.form, (d, tuple([-n for n in nums])))
 
     def ascending_chain(self, length: int, start: Point | None = None) -> list[Point]:
         current = start if start is not None else self.point()

@@ -78,6 +78,31 @@ def history_order_agrees(model, history, pairs) -> bool:
     return True
 
 
+class ReferenceSampler:
+    """Lattice draws by the Fraction formulas, from the same seeded RNG as `Sampler`.
+
+    A point is lo + step * randint(0, floor((hi - lo) / step)) per axis; a
+    causal displacement is step * (k, j...) with k in 1..MAX_STEPS and each
+    |j| at most k // (dimension - 1).
+    """
+
+    def __init__(self, config, dimension):
+        self.rng = random.Random(config.seed)
+        self.step = Fraction(config.step)
+        self.box = config.resolved_box(dimension)
+        self.dimension = dimension
+
+    def point(self):
+        return mb.Point(tuple(lo + self.step * self.rng.randint(0, int((hi - lo) / self.step))
+                              for lo, hi in self.box))
+
+    def causal_delta(self):
+        k = self.rng.randint(1, mb.sampling.MAX_STEPS)
+        span = k // (self.dimension - 1)
+        return (self.step * k,) + tuple(self.step * self.rng.randint(-span, span)
+                                        for _ in range(self.dimension - 1))
+
+
 @pytest.fixture(scope="session")
 def two_scenario_model():
     fam = mb.FiniteFamily((point(0, 0),))

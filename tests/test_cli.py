@@ -105,6 +105,26 @@ def test_axioms_command_deterministic(capsys, two_path):
     assert "[axiom-suite] PASS" in out1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--box", "1,-1", "-1,1"], "box bounds out of order"),
+    (["--box", "-1,1"], "box has 1 coordinate ranges, model needs 2"),
+    (["--step", "0"], "sampler step must be positive"),
+])
+def test_axioms_bad_box_or_step_is_usage_error(capsys, two_path, flags, message):
+    code, out, err = run(capsys, ["axioms", "--model", two_path, "--cases", "5"] + flags)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_oracle_notes_inadequate_truncation(capsys):
+    model = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "harmonic.mbs")
+    code, out, _ = run(capsys, ["oracle", "--model", model, "--box", "-1/2,1/2", "-1/2,1/2",
+                                "--step", "1/8", "--truncate", "7"])
+    assert code == 1
+    assert ("  note: u|v: truncation not provably adequate: "
+            "member indices up to 8 reachable, cap 7") in out.splitlines()
+
+
 def test_counterexample_command(capsys):
     code, out, _ = run(capsys, ["counterexample", "--depth", "3", "--support", "2"])
     assert code == 0

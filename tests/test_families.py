@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from minkbranch.families import (
     FiniteFamily,
     HarmonicPair,
     IntegerRow,
+    SplittingFamily,
     family_kind,
     is_empty,
 )
@@ -197,6 +199,28 @@ def test_difference_row_builds_its_members_once():
     assert first == [point(0, 0), point(0, 1), point(0, 5)]
     assert all(a is b for a, b in zip(first, again))
     assert fam == DifferenceRow(frozenset({0, 3}), frozenset({1, 3, 5}))
+
+
+def test_difference_row_first_strictly_below_matches_member_scan():
+    rng = random.Random(8)
+    for _ in range(3000):
+        fam = DifferenceRow(frozenset(rng.sample(range(12), rng.randint(0, 6))),
+                            frozenset(rng.sample(range(12), rng.randint(0, 6))))
+        q = rng.choice((1, 2, 3, 4, 7))
+        x = point(F(rng.randint(-8, 30), q), F(rng.randint(-30, 60), q))
+        # the linear scan that FiniteFamily keeps is the reference
+        assert fam.first_strictly_below(x) == SplittingFamily.first_strictly_below(fam, x), (fam, x)
+    for fam in (DifferenceRow(frozenset({1}), frozenset()), DifferenceRow(frozenset(), frozenset())):
+        with pytest.raises(DimensionMismatch):
+            fam.first_strictly_below(point(1, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [-1, True])
+def test_difference_row_rejects_bad_positions(bad):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        DifferenceRow(frozenset({bad}), frozenset())
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        DifferenceRow(frozenset({0}), frozenset({bad}))
 
 
 def test_difference_row_identical_zero_sets_is_empty():

@@ -281,3 +281,25 @@ def test_between_is_strictly_inside(x, y):
     if lt(x, y):
         m = between(x, y)
         assert lt(x, m) and lt(m, y)
+
+
+def test_dyadic_cover_sqrt_is_the_least_cover():
+    # the definition: the least p >= 0 with p*p * den >= num << 32, s = num/den
+    def least_cover(s):
+        target, p = s.numerator << 32, 0
+        while p * p * s.denominator < target:
+            p += 1
+        return p
+
+    rng = random.Random(12)
+    for _ in range(300):
+        den = rng.randint(1, 10 ** 7)
+        s = F(rng.randint(1, max(1, den // 1000)), den)
+        assert minkowski._dyadic_cover_sqrt(s) == F(least_cover(s), minkowski.LIFT_GRAIN), s
+    for s in (F(0), F(-3, 4)):
+        assert minkowski._dyadic_cover_sqrt(s) == 0
+    for _ in range(2000):   # larger squares: p covers s and p - 1 does not
+        s = F(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 6))
+        p = minkowski._dyadic_cover_sqrt(s) * minkowski.LIFT_GRAIN
+        assert p.denominator == 1 and p * p >= s * minkowski.LIFT_GRAIN ** 2
+        assert (p - 1) ** 2 < s * minkowski.LIFT_GRAIN ** 2

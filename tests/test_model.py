@@ -225,3 +225,10 @@ def test_overlap_intersection_contained_in_validated_models():
         a, b, c = labels[0], labels[1], labels[2]
         w = overlap_inclusion_counterexample(m, a, b, c, lattice)
         assert w is None, (m, w)
+
+
+def test_dimension_check_names_the_off_dimension_family():
+    model = mb.Model(2, ("a", "b"), {("a", "b"): mb.FiniteFamily((point(0, 0, 0),))})
+    report = validate_model(model)
+    assert not report.passed
+    assert "  dimension: FAIL (('a', 'b') is finite of dimension 3)" in report.lines()

@@ -267,3 +267,14 @@ def test_mutant_families_trip_the_oracle():
     for model, grid in mutants:
         report = oracle_cross_check(model, grid, order_samples=60)
         assert not report.passed, type(model.family("a", "b")).__name__
+
+
+def test_escape_witness_stops_below_later_members():
+    # the members sit at time 1/4, between grid rows; above the grid point
+    # (0, 0) the witness must stay no later than them, and it exists
+    model = mb.Model(2, ("a", "b"), {("a", "b"): FiniteFamily(
+        (point(F(1, 4), F(-1, 2)), point(F(1, 4), 0), point(F(1, 4), F(1, 2))))})
+    grid = GridSpec(((-1, 1), (-1, 1)), F(1, 2))
+    assert point(0, 0) not in oracle_choice_points(model, "a", "b", grid).candidates
+    report = oracle_cross_check(model, grid)
+    assert report.passed, report.render()
