@@ -24,7 +24,7 @@ from math import ceil, floor
 from typing import Iterator
 
 from .errors import DimensionMismatch
-from .minkowski import IntegerForm, Point, format_rational, leq, lt, point, rational
+from .minkowski import IntegerForm, Point, format_rational, from_form, leq, lt, point, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -167,8 +167,9 @@ class IntegerRow(SplittingFamily):
     def members(self, limit: int | None = None) -> Iterator[Point]:
         if limit is None:
             raise ValueError("IntegerRow is infinite; enumeration needs a limit")
+        d, t = self.t0.denominator, self.t0.numerator
         for n in range(limit + 1):
-            yield point(self.t0, n)
+            yield from_form(d, (t, n * d))
 
     def contains(self, x: Point) -> bool:
         if x.dimension != 2 or x.coords[0] != self.t0:
@@ -219,11 +220,12 @@ class HarmonicPair(SplittingFamily):
     def members(self, limit: int | None = None) -> Iterator[Point]:
         if limit is None:
             raise ValueError("HarmonicPair is infinite; enumeration needs a limit")
-        c0, c1 = self.center.coords
+        # center +- (0, 1/n) over the denominator d * n, d the center's own
+        d, (t, x) = self.center.form
         for n in range(1, limit + 1):
-            step = Fraction(1, n)
-            yield point(c0, c1 + step)
-            yield point(c0, c1 - step)
+            dn, tn, xn = d * n, t * n, x * n
+            yield from_form(dn, (tn, xn + d))
+            yield from_form(dn, (tn, xn - d))
 
     def contains(self, x: Point) -> bool:
         if x.dimension != 2 or x.coords[0] != self.center.coords[0]:

@@ -192,12 +192,14 @@ def _infimum(model: Model, sampler: Sampler, s: ScenarioId):
 
 def _supremum(model: Model, sampler: Sampler, s: ScenarioId):
     # Within-label suprema of finite chains: the maximum, checked in every
-    # history that contains the whole chain (s itself always does).
+    # history that contains the whole chain (s itself always does).  An
+    # overlap region is downward closed and the chain ascends, so the
+    # history contains the chain exactly when it contains the maximum.
     chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
     sup = chain[-1]
     ok = True
     for t in model.scenario_list():
-        if all(model.in_overlap(s, t, p) for p in chain):
+        if model.in_overlap(s, t, sup):
             ok = ok and all(
                 events.leq(model, LabeledPoint(p, s), LabeledPoint(sup, t)) for p in chain)
             for _ in range(2):

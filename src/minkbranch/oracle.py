@@ -1,16 +1,26 @@
 """Brute-force grid oracle.
 
 Everything here is enumeration: member lists are truncated and scanned,
-overlap membership is decided by checking every member against every grid
-point, and choice-point candidates are grid points with no grid point
-above them still in the overlap.  No closed-form family query is consulted,
-which is the point: the oracle is the independent side of the agreement
-obligation on the analytic decision procedures.
+overlap membership is decided from the enumerated members alone, and
+choice-point candidates are grid points with no grid point above them still
+in the overlap.  No closed-form family query is consulted, which is the
+point: the oracle is the independent side of the agreement obligation on
+the analytic decision procedures.
 
-The enumeration compares the integer forms that every point stores
-(`Point.form`) with `minkowski.integer_lt`, the exact integer statement of
-`lt`.  The forms belong to the enumerated points themselves, never to a
-family's closed form.
+In two dimensions both scans are staircase queries on the grid's light-cone
+lattice.  Grid point (i, j) is lo + (i, j) * step; with U = i + j and
+V = i - j, a point m strictly precedes it exactly when U and V are at least
+the ceilings (cu, cv) of m's light-cone offsets, (t + x - u0) / step and
+(t - x - v0) / step, and m is not the grid point itself.  The ceilings come
+from integer division on m's stored form (`Point.form`).  A member on a
+lattice point, both divisions exact, gives the corners (cu, cv + 1) and
+(cu + 1, cv) instead, which leaves out the point itself.  The overlap scan
+keeps, per U, the least cv over corners with cu <= U; the dominance sweep
+keeps, per U, the greatest V of a kept point at U or beyond.  Each costs
+O(M + G) for M members and G grid points.  Above two dimensions the cone
+is not a product order, and both scans compare integer forms pairwise with
+`minkowski.integer_lt`.  The forms belong to the enumerated points
+themselves, never to a family's closed form.
 
 Two honesty devices keep the enumeration meaningful:
 
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
+from typing import Iterator
 
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
@@ -48,6 +59,10 @@ from .reporting import Report
 
 #: Hard cap on enumerated grid points.
 GRID_BUDGET = 10_000_000
+
+
+def _axis_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
+    return int((hi - lo) / step) + 1
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class GridSpec:
         object.__setattr__(self, "step", step)
         total = 1
         for lo, hi in box:
-            total *= int((hi - lo) / step) + 1
+            total *= _axis_count(lo, hi, step)
             if total > GRID_BUDGET:
                 raise GridBudgetExceeded(
                     f"grid would exceed {GRID_BUDGET} points; shrink the box or coarsen the step")
@@ -85,8 +100,7 @@ class GridSpec:
 
     def axis_values(self, axis: int) -> list[Fraction]:
         lo, hi = self.box[axis]
-        count = int((hi - lo) / self.step) + 1
-        return [lo + self.step * k for k in range(count)]
+        return [lo + self.step * k for k in range(_axis_count(lo, hi, self.step))]
 
     def points(self) -> list[Point]:
         axes = [self.axis_values(i) for i in range(self.dimension)]
@@ -104,6 +118,65 @@ def _any_below(forms: list[IntegerForm], x: IntegerForm) -> bool:
         if integer_lt(m, x):
             return True
     return False
+
+
+def _cone_corners(forms: list[IntegerForm], grid: GridSpec) -> Iterator[tuple[int, int]]:
+    """Light-cone index corners (cu, cv) of planar member forms.
+
+    A member strictly precedes grid point (i, j) exactly when i + j >= cu
+    and i - j >= cv for one of its corners.  cu and cv are the ceilings of
+    (t + x - u0) / step and (t - x - v0) / step, with (u0, v0) the light-cone
+    coordinates of the box corner; a member on a lattice point gives two
+    corners, which leave out that point.
+    """
+    (t_lo, _), (x_lo, _) = grid.box
+    p, q = grid.step.numerator, grid.step.denominator
+    u0, v0 = t_lo + x_lo, t_lo - x_lo
+    # offset = (s * b - a * D) * q / (D * b * p), for origin a / b and form (D, nums)
+    ua, ub, up = u0.numerator * q, u0.denominator * q, u0.denominator * p
+    va, vb, vp = v0.numerator * q, v0.denominator * q, v0.denominator * p
+    for d, (t, x) in forms:
+        cu, ru = divmod(d * ua - (t + x) * ub, d * up)     # (-ceil, remainder)
+        cv, rv = divmod(d * va - (t - x) * vb, d * vp)
+        if ru or rv:
+            yield -cu, -cv
+        else:
+            yield -cu, 1 - cv
+            yield 1 - cu, -cv
+
+
+def _staircase_covered(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
+    """Per planar grid point, in `grid.points()` order: is a member strictly below it?"""
+    rows, cols = (_axis_count(lo, hi, grid.step) for lo, hi in grid.box)
+    top = rows + cols - 2                       # the largest U
+    best = [rows] * (top + 1)                   # rows exceeds every V = i - j
+    for cu, cv in _cone_corners(forms, grid):
+        if cu <= top:
+            k = max(cu, 0)
+            if cv < best[k]:
+                best[k] = cv
+    for u in range(1, top + 1):
+        if best[u - 1] < best[u]:
+            best[u] = best[u - 1]
+    return [best[i + j] <= i - j for i in range(rows) for j in range(cols)]
+
+
+def _staircase_maximal(kept: list[bool], grid: GridSpec) -> list[bool]:
+    """Per planar grid point, in `grid.points()` order: kept, and below no other kept point?"""
+    rows, cols = (_axis_count(lo, hi, grid.step) for lo, hi in grid.box)
+    top = rows + cols - 2
+    high = [-cols] * (top + 2)                  # per U, the greatest kept V; -cols is below every V
+    for k, keep in enumerate(kept):
+        if keep:
+            i, j = divmod(k, cols)
+            if i - j > high[i + j]:
+                high[i + j] = i - j
+    above = high[:]                             # per U, the greatest kept V at U or beyond
+    for u in range(top - 1, -1, -1):
+        if above[u + 1] > above[u]:
+            above[u] = above[u + 1]
+    return [keep and high[i + j] == i - j and above[i + j + 1] < i - j
+            for keep, (i, j) in zip(kept, product(range(rows), range(cols)))]
 
 
 @dataclass(frozen=True)
@@ -124,7 +197,11 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     if any(len(nums) != grid.dimension for _, nums in forms):
         raise DimensionMismatch(f"family members do not have the grid's dimension {grid.dimension}")
     points = grid.points()
-    kept = frozenset(x for x in points if not _any_below(forms, x.form))
+    if grid.dimension == 2:
+        kept = frozenset(x for x, covered in zip(points, _staircase_covered(forms, grid))
+                         if not covered)
+    else:
+        kept = frozenset(x for x in points if not _any_below(forms, x.form))
     needed = max(family.members_needed(x.form) for x in points)
     note = f"member indices up to {needed} reachable, cap {grid.truncate}"
     return OverlapScan(kept, grid.truncate >= needed, note, members)
@@ -146,6 +223,18 @@ class ChoiceScan:
     candidates: tuple[Point, ...]
     flagged: frozenset[Point]
     overlap: OverlapScan
+
+
+def _maximal(points: list[Point], kept: frozenset[Point], grid: GridSpec) -> list[Point]:
+    """The kept grid points below no other kept point, in `grid.points()` order."""
+    if grid.dimension == 2:
+        maximal = _staircase_maximal([x in kept for x in points], grid)
+        return [x for x, top in zip(points, maximal) if top]
+    # Grid order sorts by time, and a point strictly above x comes later.
+    by_time = [x for x in points if x in kept]
+    forms = [x.form for x in by_time]
+    return [x for i, x in enumerate(by_time)
+            if not any(integer_lt(forms[i], z) for z in forms[i + 1:])]
 
 
 def _has_escape_witness(x: IntegerForm, members: tuple[Point, ...],
@@ -192,18 +281,11 @@ def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     """Grid points maximal in the scanned overlap with no escape witness."""
     scan = oracle_overlap(model, a, b, grid)
     family = model.family(a, b)
-    by_time = sorted(scan.points, key=lambda p: p.coords)
-    forms = [x.form for x in by_time]
-    candidates = []
-    for i, x in enumerate(by_time):
-        if any(integer_lt(forms[i], z) for z in forms[i + 1:]):
-            continue
-        if _has_escape_witness(forms[i], scan.members, family, grid):
-            continue
-        candidates.append(x)
-
-    flagged = frozenset(x for x in grid.points() if boundary_flagged(grid, x))
-    return ChoiceScan(tuple(candidates), flagged, scan)
+    points = grid.points()
+    candidates = tuple(x for x in _maximal(points, scan.points, grid)
+                       if not _has_escape_witness(x.form, scan.members, family, grid))
+    flagged = frozenset(x for x in points if boundary_flagged(grid, x))
+    return ChoiceScan(candidates, flagged, scan)
 
 
 def oracle_cross_check(model: BranchingModel, grid: GridSpec,

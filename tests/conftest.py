@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import minkbranch as mb
-from minkbranch import events, minkowski
+from minkbranch import events, minkowski, oracle
 from minkbranch.events import LabeledPoint
 from minkbranch.minkowski import point
 
@@ -47,6 +47,28 @@ def reference_difference_triangle(ab, bc, ac):
         if j not in covered:
             return point(0, j)
     return None
+
+
+def reference_oracle_overlap(model, a, b, grid) -> frozenset:
+    """Grid points with no truncated member strictly below them, by a linear scan."""
+    forms = [m.form for m in oracle.member_list(model.family(a, b), grid.truncate)]
+    return frozenset(x for x in grid.points()
+                     if not any(minkowski.integer_lt(m, x.form) for m in forms))
+
+
+def reference_oracle_maximal(kept) -> list:
+    """The points of `kept` below no other, by time, from a quadratic dominance sweep."""
+    kept = sorted(kept, key=lambda p: p.coords)
+    return [x for i, x in enumerate(kept)
+            if not any(minkowski.integer_lt(x.form, z.form) for z in kept[i + 1:])]
+
+
+def reference_oracle_candidates(model, a, b, grid, maximal) -> tuple:
+    """Choice-point candidates: the `maximal` points with no escape witness."""
+    family = model.family(a, b)
+    members = tuple(oracle.member_list(family, grid.truncate))
+    return tuple(x for x in maximal
+                 if not oracle._has_escape_witness(x.form, members, family, grid))
 
 
 def overlap_inclusion_counterexample(model, a, b, c, points):

@@ -302,3 +302,18 @@ def test_cone_queries_derive_from_first_strictly_below(cls, args):
 ])
 def test_is_empty_for_every_kind(family, empty):
     assert is_empty(family) == empty
+
+
+def test_row_members_match_points_built_from_coordinates():
+    # members are built from integer forms; they must be the same points,
+    # with the same (lcm) forms, as points built from their coordinates
+    for t0 in (0, F(-3, 4), F(5, 6)):
+        members = list(IntegerRow(t0).members(limit=40))
+        assert [m.coords for m in members] == [(t0, n) for n in range(41)]
+        assert [m.form for m in members] == [point(t0, n).form for n in range(41)]
+    for c in (point(0, 0), point(F(1, 6), F(-5, 4)), point(-2, F(7, 3))):
+        members = list(HarmonicPair(c).members(limit=40))
+        expected = [point(c.coords[0], c.coords[1] + sign * F(1, n))
+                    for n in range(1, 41) for sign in (1, -1)]
+        assert members == expected
+        assert [m.form for m in members] == [p.form for p in expected]

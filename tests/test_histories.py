@@ -141,3 +141,22 @@ def test_generator_model_scenarios_not_enumerable():
     h = History(mb.ZeroSetScenario.leading_zeros(3))
     with pytest.raises(ScenariosNotEnumerable):
         scenarios_at(model, h, point(F(1, 2), 0))
+
+
+def test_chain_top_decides_overlap_of_whole_chain(two_scenario_model, harmonic_model,
+                                                  integer_row_model):
+    # An overlap region is downward closed, so an ascending chain lies in it
+    # exactly when its maximum does: the chain-suprema axiom asks only that.
+    outcomes = set()
+    models = [two_scenario_model, harmonic_model, integer_row_model, *build_random_battery()]
+    for seed, m in enumerate(models):
+        sampler = Sampler(SamplerConfig(seed=seed), m.dimension)
+        labels = m.scenario_list()
+        for _ in range(60):
+            chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
+            s = sampler.choice(labels)
+            for t in labels:
+                whole = all(m.in_overlap(s, t, p) for p in chain)
+                assert m.in_overlap(s, t, chain[-1]) == whole, (s, t, chain)
+                outcomes.add(whole)
+    assert outcomes == {True, False}

@@ -1,10 +1,12 @@
+import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import minkbranch as mb
-from minkbranch import oracle
+from minkbranch import minkowski, modelfile, oracle
 from minkbranch.errors import GridBudgetExceeded
 from minkbranch.families import FiniteFamily, HarmonicPair, IntegerRow
 from minkbranch.minkowski import Point, lt, point
@@ -16,7 +18,14 @@ from minkbranch.oracle import (
     oracle_overlap,
 )
 
-from conftest import build_random_battery
+from conftest import (
+    build_random_battery,
+    reference_oracle_candidates,
+    reference_oracle_maximal,
+    reference_oracle_overlap,
+)
+
+MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
 def test_grid_spec_basics():
@@ -278,3 +287,81 @@ def test_escape_witness_stops_below_later_members():
     assert point(0, 0) not in oracle_choice_points(model, "a", "b", grid).candidates
     report = oracle_cross_check(model, grid)
     assert report.passed, report.render()
+
+
+# ---------------------------------------------------------------------------
+# Staircase scans in two dimensions against the linear and quadratic scans
+# ---------------------------------------------------------------------------
+
+
+def _assert_scans_match_reference(model, grid):
+    labels = model.scenario_list()
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            scan = oracle_choice_points(model, a, b, grid)
+            where = (type(model.family(a, b)).__name__, a, b, grid.box, grid.step)
+            kept = reference_oracle_overlap(model, a, b, grid)
+            assert scan.overlap.points == kept, where
+            # the dominance sweep on its own: escape witnesses hide some of its errors
+            maximal = reference_oracle_maximal(kept)
+            assert oracle._maximal(grid.points(), kept, grid) == maximal, where
+            assert scan.candidates == reference_oracle_candidates(model, a, b, grid, maximal), where
+
+
+def test_staircase_scans_match_linear_scans_on_demo_models():
+    half = (F(-1, 2), F(1, 2))
+    boxes = [(half, half), ((F(-2, 3), F(1, 2)), (F(-1, 2), F(5, 8)))]
+    for name in ("harmonic", "integer_row", "two_scenarios", "triangle_violation"):
+        model = modelfile.loads((MODELS / f"{name}.mbs").read_text(encoding="utf-8"))
+        for step in (F(1, 4), F(1, 8), F(1, 16), F(1, 32), F(1, 3)):
+            for box in boxes:
+                _assert_scans_match_reference(model, GridSpec(box, step, truncate=200))
+
+
+def test_staircase_scans_match_linear_scans_on_random_models():
+    rng = random.Random(17)
+    for _ in range(12):
+        model = mb.random_model(rng)
+        for step in (F(1, 4), F(1, 3)):
+            _assert_scans_match_reference(model, GridSpec(((-2, 2), (F(-5, 2), 2)), step))
+
+
+def test_staircase_scans_match_linear_scans_on_mutants():
+    for family in (HarmonicSkippingLargest(point(0, 0)), IntegerRowDroppingLightlike(0),
+                   FiniteSkippingFirst((point(0, -1), point(0, 1)))):
+        model = mb.Model(2, ("a", "b"), {("a", "b"): family})
+        _assert_scans_match_reference(model, GridSpec(((-2, 2), (-2, 2)), F(1, 4)))
+
+
+def test_staircase_scans_match_linear_scans_on_awkward_members():
+    # members on grid points, causally related members, and members below,
+    # above and beside the box; the scans take any member set
+    model = mb.Model(2, ("a", "b"), {("a", "b"): FiniteFamily((
+        point(0, 0), point(F(1, 2), F(1, 4)), point(F(1, 2), F(1, 2)),
+        point(F(1, 3), F(-1, 5)), point(F(-1, 4), F(-3, 4)), point(F(3, 4), F(-1, 4)),
+        point(-5, 0), point(-3, F(7, 3)), point(5, 0), point(F(1, 2), 7), point(0, -4),
+        point(F(-7, 8), F(17, 8)),
+    ))})
+    for box in (((-1, 1), (-1, 1)), ((F(-1, 3), F(5, 4)), (F(-7, 5), F(1, 2)))):
+        for step in (F(1, 4), F(1, 3), F(1, 8), F(2, 7)):
+            _assert_scans_match_reference(model, GridSpec(box, step))
+
+
+def test_planar_scans_make_no_pairwise_order_test(monkeypatch, harmonic_model):
+    calls = []
+    original = minkowski.integer_lt
+
+    def counting(m, x):
+        calls.append(None)
+        return original(m, x)
+
+    monkeypatch.setattr(oracle, "integer_lt", counting)
+    grid = GridSpec(((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2))), F(1, 8))
+    scan = oracle_choice_points(harmonic_model, "u", "v", grid)
+    assert point(0, 0) in scan.candidates
+    assert calls == []
+
+    # the counter does see the pairwise scans above two dimensions
+    model = mb.Model(3, ("a", "b"), {("a", "b"): FiniteFamily((point(0, 0, 0),))})
+    oracle_choice_points(model, "a", "b", GridSpec(((-1, 1),) * 3, F(1, 2)))
+    assert calls
