@@ -223,11 +223,9 @@ def _cmd_oracle(args) -> int:
         if not scans:
             raise UsageError("CSV scans need a scenario pair")
         (a, b), scan = next(iter(scans.items()))
-        cells = [
-            plotting.PlotCell(x.coords[0], x.coords[1], x,
-                              x in scan.overlap.points, x in scan.candidates)
-            for x in grid.points()
-        ]
+        cells = [plotting.PlotCell(x.coords[0], x.coords[1], x, kept, cand)
+                 for x, kept, cand in zip(scan.overlap.grid_points, scan.overlap.kept,
+                                          scan.is_candidate)]
         _write_text(args.csv, plotting.render_csv(cells))
         print(f"wrote oracle scan for pair {a},{b} to {args.csv}")
     return _print_report(report)

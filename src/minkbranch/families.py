@@ -71,8 +71,16 @@ class SplittingFamily:
     slr_by_construction: bool
 
     def members(self, limit: int | None = None) -> Iterator[Point]:
-        """The members in a fixed order; infinite kinds need `limit`."""
+        """The members in index order: all of a finite kind's, an infinite kind's up to `limit`.
+
+        `IntegerRow` index n is the one point (t0, n), for n >= 0, and
+        `HarmonicPair` index n the two points center +- (0, 1/n), for n >= 1.
+        """
         raise NotImplementedError
+
+    def member_count(self, limit: int) -> int:
+        """How many points `members(limit)` yields; a finite kind keeps them in `points`."""
+        return len(self.points)
 
     def contains(self, x: Point) -> bool:
         raise NotImplementedError
@@ -82,7 +90,8 @@ class SplittingFamily:
         raise NotImplementedError
 
     def members_needed(self, x: IntegerForm) -> int:
-        """A member index past which no member lies strictly below x.
+        """A member index such that, if any member lies strictly below x, one of
+        index at most this bound does; later members may too.
 
         Zero for the finite kinds, which are enumerated whole.  An infinite
         kind reads only its parameters, never a closed-form query, with exact
@@ -171,6 +180,9 @@ class IntegerRow(SplittingFamily):
         for n in range(limit + 1):
             yield from_form(d, (t, n * d))
 
+    def member_count(self, limit: int) -> int:
+        return limit + 1
+
     def contains(self, x: Point) -> bool:
         if x.dimension != 2 or x.coords[0] != self.t0:
             return False
@@ -226,6 +238,9 @@ class HarmonicPair(SplittingFamily):
             dn, tn, xn = d * n, t * n, x * n
             yield from_form(dn, (tn, xn + d))
             yield from_form(dn, (tn, xn - d))
+
+    def member_count(self, limit: int) -> int:
+        return 2 * limit
 
     def contains(self, x: Point) -> bool:
         if x.dimension != 2 or x.coords[0] != self.center.coords[0]:

@@ -22,18 +22,20 @@ is not a product order, and both scans compare integer forms pairwise with
 `minkowski.integer_lt`.  The forms belong to the enumerated points
 themselves, never to a family's closed form.
 
-Two honesty devices keep the enumeration meaningful:
+`truncate` caps the member indices a scan reads, and a scan reads only as
+far as a family kind's `members_needed` says: if a member lies strictly
+below x, one of index at most that bound does.
 
-* truncation adequacy: each family kind's `members_needed` bounds the member
-  index past which no member can lie strictly below a given point; a scan
-  whose cap covers that bound at every grid point is exact, and one that
-  does not carries a warning;
+* truncation adequacy: the overlap scan reads up to the largest bound over
+  the grid, or to the cap; a scan whose cap falls short carries a warning;
 * escape witnesses: a grid point with no scanned grid point above it may
   still have overlap points above it, in a wedge thinner than the step.
   Each such candidate x is tested at y = x + (eps, 0), with eps an exact
-  rational below x's gap to every enumerated member; y is a witness, and x
-  no choice point, when the cap also covers `members_needed` at y.  A true
-  choice point has no such y, so the test only removes false candidates.
+  rational below x's gap to every member read.  While the bound at y
+  passes those members, x reads further ones, never past the cap, and cuts
+  eps again; y is a witness, and x no choice point, once it does not.  A
+  true choice point has no such y, so the test only removes false
+  candidates.
 
 Grid points within one light-cone step of the box top or of a spatial face
 are flagged: their maximality cannot be decided inside the box, and they
@@ -44,9 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, compress, islice, product
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
@@ -112,12 +115,25 @@ def member_list(family: SplittingFamily, truncate: int) -> list[Point]:
     return list(family.members(limit=truncate))
 
 
-def _any_below(forms: list[IntegerForm], x: IntegerForm) -> bool:
-    """Some form in `forms` strictly precedes x."""
-    for m in forms:
-        if integer_lt(m, x):
-            return True
-    return False
+class _MemberForms:
+    """A scan's member forms in index order: those up to index `reach`, then as asked."""
+
+    def __init__(self, family: SplittingFamily, grid: GridSpec, reach: int):
+        self.family, self.dimension, self.reach = family, grid.dimension, reach
+        self._source = family.members(limit=grid.truncate)
+        self.forms: list[IntegerForm] = []
+        self.read(reach)
+
+    def read(self, index: int) -> int:
+        """Read the members of indices up to `index`; return how many forms they are."""
+        count = self.family.member_count(index)
+        if count > len(self.forms):
+            new = [m.form for m in islice(self._source, count - len(self.forms))]
+            if any(len(nums) != self.dimension for _, nums in new):
+                raise DimensionMismatch(
+                    f"family members do not have the grid's dimension {self.dimension}")
+            self.forms += new
+        return count
 
 
 def _cone_corners(forms: list[IntegerForm], grid: GridSpec) -> Iterator[tuple[int, int]]:
@@ -145,8 +161,8 @@ def _cone_corners(forms: list[IntegerForm], grid: GridSpec) -> Iterator[tuple[in
             yield 1 - cu, -cv
 
 
-def _staircase_covered(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
-    """Per planar grid point, in `grid.points()` order: is a member strictly below it?"""
+def _staircase_kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
+    """Per planar grid point, in `grid.points()` order: is no member strictly below it?"""
     rows, cols = (_axis_count(lo, hi, grid.step) for lo, hi in grid.box)
     top = rows + cols - 2                       # the largest U
     best = [rows] * (top + 1)                   # rows exceeds every V = i - j
@@ -158,10 +174,10 @@ def _staircase_covered(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
     for u in range(1, top + 1):
         if best[u - 1] < best[u]:
             best[u] = best[u - 1]
-    return [best[i + j] <= i - j for i in range(rows) for j in range(cols)]
+    return [best[i + j] > i - j for i in range(rows) for j in range(cols)]
 
 
-def _staircase_maximal(kept: list[bool], grid: GridSpec) -> list[bool]:
+def _staircase_maximal(kept: Sequence[bool], grid: GridSpec) -> list[bool]:
     """Per planar grid point, in `grid.points()` order: kept, and below no other kept point?"""
     rows, cols = (_axis_count(lo, hi, grid.step) for lo, hi in grid.box)
     top = rows + cols - 2
@@ -181,30 +197,31 @@ def _staircase_maximal(kept: list[bool], grid: GridSpec) -> list[bool]:
 
 @dataclass(frozen=True)
 class OverlapScan:
-    points: frozenset[Point]
+    #: The grid points in `GridSpec.points()` order, and which of them the scan kept.
+    grid_points: tuple[Point, ...]
+    kept: tuple[bool, ...]
     adequate: bool
     note: str
-    #: The truncated members the scan tested.
-    members: tuple[Point, ...]
+    members: _MemberForms
+
+    @cached_property
+    def points(self) -> frozenset[Point]:
+        return frozenset(compress(self.grid_points, self.kept))
 
 
 def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
                    grid: GridSpec) -> OverlapScan:
     """Grid points with no truncated member strictly below them."""
     family = model.family(a, b)
-    members = tuple(member_list(family, grid.truncate))
-    forms = [m.form for m in members]
-    if any(len(nums) != grid.dimension for _, nums in forms):
-        raise DimensionMismatch(f"family members do not have the grid's dimension {grid.dimension}")
     points = grid.points()
-    if grid.dimension == 2:
-        kept = frozenset(x for x, covered in zip(points, _staircase_covered(forms, grid))
-                         if not covered)
-    else:
-        kept = frozenset(x for x in points if not _any_below(forms, x.form))
     needed = max(family.members_needed(x.form) for x in points)
+    members = _MemberForms(family, grid, min(needed, grid.truncate))
+    if grid.dimension == 2:
+        kept = _staircase_kept(members.forms, grid)
+    else:
+        kept = [not any(integer_lt(m, x.form) for m in members.forms) for x in points]
     note = f"member indices up to {needed} reachable, cap {grid.truncate}"
-    return OverlapScan(kept, grid.truncate >= needed, note, members)
+    return OverlapScan(tuple(points), tuple(kept), grid.truncate >= needed, note, members)
 
 
 def boundary_flagged(grid: GridSpec, x: Point) -> bool:
@@ -218,37 +235,50 @@ def boundary_flagged(grid: GridSpec, x: Point) -> bool:
     return False
 
 
+def _flags(grid: GridSpec) -> tuple[bool, ...]:
+    """`boundary_flagged` per grid point, in `grid.points()` order, from axis indices."""
+    # lo + k * step, for k < n, is within one step of hi exactly when k = n - 1
+    counts = [_axis_count(lo, hi, grid.step) for lo, hi in grid.box]
+    last = counts[0] - 1
+    return tuple(idx[0] == last or any(k == 0 or k == n - 1 for k, n in zip(idx[1:], counts[1:]))
+                 for idx in product(*map(range, counts)))
+
+
 @dataclass(frozen=True)
 class ChoiceScan:
     candidates: tuple[Point, ...]
-    flagged: frozenset[Point]
     overlap: OverlapScan
+    #: Per grid point, in `GridSpec.points()` order: a candidate, and boundary-flagged.
+    is_candidate: tuple[bool, ...]
+    is_flagged: tuple[bool, ...]
+
+    @cached_property
+    def flagged(self) -> frozenset[Point]:
+        return frozenset(compress(self.overlap.grid_points, self.is_flagged))
 
 
-def _maximal(points: list[Point], kept: frozenset[Point], grid: GridSpec) -> list[Point]:
-    """The kept grid points below no other kept point, in `grid.points()` order."""
+def _maximal(points: Sequence[Point], kept: Sequence[bool], grid: GridSpec) -> list[bool]:
+    """Per grid point, in `grid.points()` order: kept, and below no other kept point?"""
     if grid.dimension == 2:
-        maximal = _staircase_maximal([x in kept for x in points], grid)
-        return [x for x, top in zip(points, maximal) if top]
+        return _staircase_maximal(kept, grid)
     # Grid order sorts by time, and a point strictly above x comes later.
-    by_time = [x for x in points if x in kept]
-    forms = [x.form for x in by_time]
-    return [x for i, x in enumerate(by_time)
-            if not any(integer_lt(forms[i], z) for z in forms[i + 1:])]
+    forms = [x.form for x, keep in zip(points, kept) if keep]
+    tops = iter([not any(integer_lt(f, z) for z in forms[i + 1:]) for i, f in enumerate(forms)])
+    return [keep and next(tops) for keep in kept]
 
 
-def _has_escape_witness(x: IntegerForm, members: tuple[Point, ...],
-                        family: SplittingFamily, grid: GridSpec) -> bool:
+def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -> bool:
     """Is y = x + (eps, 0), inside the box, provably in the overlap?
 
-    eps starts at the room left below the box top.  For each enumerated
-    member m, with dt = x0 - m0 and S the squared spatial distance, scaled
-    as in `integer_lt` (dt by Dm*Dx, S by its square), eps is cut below
-    m's gap sqrt(S) - dt: to (S - dt**2) / ((isqrt(S) + 1 + dt) * Dm * Dx)
-    when dt >= 0, strictly below the gap, and to -dt / (Dm * Dx) when
-    dt < 0, which keeps y no later than m.  No enumerated member then lies
-    below y, and y is a witness when no member past the cap can either.  A
-    member, or a point on the box top, leaves no room and no witness.
+    eps starts at the room left below the box top.  Each member m of index
+    up to `members.reach`, with dt = x0 - m0 and S the squared spatial
+    distance, scaled as in `integer_lt` (dt by Dm*Dx, S by its square),
+    cuts eps below m's gap sqrt(S) - dt: to (S - dt**2) / ((isqrt(S) + 1 +
+    dt) * Dm * Dx) when dt >= 0, and to -dt / (Dm * Dx) when dt < 0, which
+    keeps y no later than m.  y is a witness once `members_needed` at y is
+    at most the index read; until then the index rises to that bound, never
+    past the cap, and the new members cut eps again.  A member, or a point
+    on the box top, leaves no room and no witness.
     """
     dx, xn = x
     top = grid.box[0][1]
@@ -257,35 +287,39 @@ def _has_escape_witness(x: IntegerForm, members: tuple[Point, ...],
     if num <= 0:
         return False
     x0, spatial = xn[0], range(1, len(xn))
-    for m in members:
-        dm, mn = m.form
-        dt = x0 * dm - mn[0] * dx
-        if dt < 0:
-            cut, cut_den = -dt, dm
-        else:
-            s = 0
-            for i in spatial:
-                d = xn[i] * dm - mn[i] * dx
-                s += d * d
-            cut, cut_den = s - dt * dt, (isqrt(s) + 1 + dt) * dm
-        if cut * den < num * cut_den:
-            if cut <= 0:
-                return False            # x is a member
-            num, den = cut, cut_den
-    y = (dx * den, (xn[0] * den + num,) + tuple(c * den for c in xn[1:]))
-    return family.members_needed(y) <= grid.truncate
+    index, done = members.reach, 0
+    while True:
+        count = members.read(index)
+        for dm, mn in members.forms[done:count]:
+            dt = x0 * dm - mn[0] * dx
+            if dt < 0:
+                cut, cut_den = -dt, dm
+            else:
+                s = 0
+                for i in spatial:
+                    d = xn[i] * dm - mn[i] * dx
+                    s += d * d
+                cut, cut_den = s - dt * dt, (isqrt(s) + 1 + dt) * dm
+            if cut * den < num * cut_den:
+                if cut <= 0:
+                    return False        # x is a member
+                num, den = cut, cut_den
+        done = count
+        y = (dx * den, (xn[0] * den + num,) + tuple(c * den for c in xn[1:]))
+        needed = members.family.members_needed(y)
+        if needed <= index or index == grid.truncate:
+            return needed <= index
+        index = min(needed, grid.truncate)
 
 
 def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
                          grid: GridSpec) -> ChoiceScan:
     """Grid points maximal in the scanned overlap with no escape witness."""
     scan = oracle_overlap(model, a, b, grid)
-    family = model.family(a, b)
-    points = grid.points()
-    candidates = tuple(x for x in _maximal(points, scan.points, grid)
-                       if not _has_escape_witness(x.form, scan.members, family, grid))
-    flagged = frozenset(x for x in points if boundary_flagged(grid, x))
-    return ChoiceScan(candidates, flagged, scan)
+    points = scan.grid_points
+    is_candidate = tuple(top and not _has_escape_witness(x.form, scan.members, grid)
+                         for x, top in zip(points, _maximal(points, scan.kept, grid)))
+    return ChoiceScan(tuple(compress(points, is_candidate)), scan, is_candidate, _flags(grid))
 
 
 def oracle_cross_check(model: BranchingModel, grid: GridSpec,
@@ -311,28 +345,21 @@ def cross_check_scans(model: BranchingModel, grid: GridSpec, pairs=None,
             raise ValueError("generator-mode models need explicit scenario pairs")
         pairs = list(combinations(labels, 2))
 
-    grid_pts = grid.points()
     for a, b in pairs:
         tag = f"{a}|{b}"
         choice = scans[a, b] = oracle_choice_points(model, a, b, grid)
         scan = choice.overlap
+        grid_pts, kept = scan.grid_points, scan.kept
         if not scan.adequate:
             report.note(f"{tag}: truncation not provably adequate: {scan.note}")
-        overlap_bad = [
-            x for x in grid_pts
-            if model.in_overlap(a, b, x) != (x in scan.points)
-        ]
+        overlap_bad = [x for x, keep in zip(grid_pts, kept) if model.in_overlap(a, b, x) != keep]
         report.add(f"overlap {tag}", not overlap_bad,
                    f"{len(grid_pts)} grid points" if not overlap_bad
                    else f"{len(overlap_bad)} disagreements; first {overlap_bad[0]!r}")
 
-        cand = set(choice.candidates)
-        choice_bad = [
-            x for x in grid_pts
-            if x not in choice.flagged
-            and is_choice_point(model, a, b, x) != (x in cand)
-        ]
-        unflagged = len(grid_pts) - len(choice.flagged)
+        choice_bad = [x for x, flag, cand in zip(grid_pts, choice.is_flagged, choice.is_candidate)
+                      if not flag and is_choice_point(model, a, b, x) != cand]
+        unflagged = choice.is_flagged.count(False)
         report.add(f"choice-points {tag}", not choice_bad,
                    f"{unflagged} unflagged grid points" if not choice_bad
                    else f"{len(choice_bad)} disagreements; first {choice_bad[0]!r}")
@@ -340,9 +367,9 @@ def cross_check_scans(model: BranchingModel, grid: GridSpec, pairs=None,
         n = len(grid_pts)
         order_bad = []
         for i in range(order_samples):
-            x = grid_pts[(i * 7919) % n]
-            y = grid_pts[(i * 104729 + 13) % n]
-            expected = minkowski.leq(x, y) and x in scan.points
+            k = (i * 7919) % n
+            x, y = grid_pts[k], grid_pts[(i * 104729 + 13) % n]
+            expected = minkowski.leq(x, y) and kept[k]
             actual = events.leq(model, LabeledPoint(x, a), LabeledPoint(y, b))
             if actual != expected:
                 order_bad.append((x, y))

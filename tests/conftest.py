@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -63,12 +64,41 @@ def reference_oracle_maximal(kept) -> list:
             if not any(minkowski.integer_lt(x.form, z.form) for z in kept[i + 1:])]
 
 
+def reference_escape_witness(x, members, family, grid) -> bool:
+    """The oracle's escape witness for the form x, cut eagerly by every member up to the cap.
+
+    y = x + (eps, 0): eps starts at the room below the box top, and each
+    member cuts it below its gap sqrt(S) - dt (to (S - dt**2) /
+    ((isqrt(S) + 1 + dt) * Dm * Dx) when dt >= 0, to -dt / (Dm * Dx) when
+    dt < 0).  y is a witness when `members_needed` at y is within the cap.
+    """
+    dx, xn = x
+    top = grid.box[0][1]
+    num, den = top.numerator * dx - xn[0] * top.denominator, top.denominator
+    if num <= 0:
+        return False
+    for m in members:
+        dm, mn = m.form
+        dt = xn[0] * dm - mn[0] * dx
+        if dt < 0:
+            cut, cut_den = -dt, dm
+        else:
+            s = sum((xn[i] * dm - mn[i] * dx) ** 2 for i in range(1, len(xn)))
+            cut, cut_den = s - dt * dt, (isqrt(s) + 1 + dt) * dm
+        if cut * den < num * cut_den:
+            if cut <= 0:
+                return False
+            num, den = cut, cut_den
+    y = (dx * den, (xn[0] * den + num,) + tuple(c * den for c in xn[1:]))
+    return family.members_needed(y) <= grid.truncate
+
+
 def reference_oracle_candidates(model, a, b, grid, maximal) -> tuple:
-    """Choice-point candidates: the `maximal` points with no escape witness."""
+    """Choice-point candidates: the `maximal` points with no eager escape witness."""
     family = model.family(a, b)
-    members = tuple(oracle.member_list(family, grid.truncate))
+    members = oracle.member_list(family, grid.truncate)
     return tuple(x for x in maximal
-                 if not oracle._has_escape_witness(x.form, members, family, grid))
+                 if not reference_escape_witness(x.form, members, family, grid))
 
 
 def overlap_inclusion_counterexample(model, a, b, c, points):

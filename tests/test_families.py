@@ -317,3 +317,49 @@ def test_row_members_match_points_built_from_coordinates():
                     for n in range(1, 41) for sign in (1, -1)]
         assert members == expected
         assert [m.form for m in members] == [p.form for p in expected]
+
+
+def _random_rational(rng, lo, hi, max_den=12):
+    q = rng.randint(1, max_den)
+    return F(rng.randint(lo * q, hi * q), q)
+
+
+@pytest.mark.parametrize("kind", ["integer_row", "harmonic_pair"])
+def test_members_needed_bounds_the_first_member_below(kind):
+    # the oracle reads member indices only up to `members_needed`: if any
+    # member lies strictly below x, one of index at most that bound must
+    rng = random.Random(29)
+    prefix, below = 300, 0
+    for _ in range(60):
+        if kind == "integer_row":
+            family = IntegerRow(_random_rational(rng, -2, 2))
+            base = (family.t0, F(0))
+        else:
+            family = HarmonicPair(point(_random_rational(rng, -2, 2), _random_rational(rng, -2, 2)))
+            base = family.center.coords
+        long = list(family.members(limit=prefix))
+        assert len(long) == family.member_count(prefix)
+        for _ in range(25):
+            x = point(base[0] + _random_rational(rng, -1, 3, 8),
+                      base[1] + _random_rational(rng, -3, 12 if kind == "integer_row" else 3))
+            needed = family.members_needed(x.form)
+            assert 0 <= needed <= prefix, (family, x)
+            bounded = long[:family.member_count(needed)]
+            assert bounded == list(family.members(limit=needed))
+            if any(lt(m, x) for m in long):
+                below += 1
+                assert any(lt(m, x) for m in bounded), (family, x)
+            if kind == "integer_row":
+                # a row's bound holds every member below x, not only the first
+                assert not any(lt(m, x) for m in long[len(bounded):]), (family, x)
+    assert below >= 300
+
+
+def test_members_needed_is_not_a_bound_on_every_member_below():
+    # above the center every late enough harmonic member lies below x, so
+    # the bound promises only one member below x, not all of them
+    family = HarmonicPair(point(0, 0))
+    x = point(1, 0)
+    needed = family.members_needed(x.form)
+    assert needed == 1
+    assert all(lt(m, x) for m in family.members(limit=50))

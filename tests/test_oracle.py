@@ -20,6 +20,7 @@ from minkbranch.oracle import (
 
 from conftest import (
     build_random_battery,
+    reference_escape_witness,
     reference_oracle_candidates,
     reference_oracle_maximal,
     reference_oracle_overlap,
@@ -289,6 +290,84 @@ def test_escape_witness_stops_below_later_members():
     assert report.passed, report.render()
 
 
+def test_lazy_witness_reads_past_the_grid_bound():
+    # every grid point sits no later than the center, so the overlap scan
+    # reads no member; above (0, -1), the first eps reaches the box top at
+    # 9/10, where members of index 1 could lie below, so the witness reads
+    # them, cuts eps to 1/6 and finds the room above (0, -1)
+    family = HarmonicPair(point(0, F(1, 3)))
+    model = mb.Model(2, ("a", "b"), {("a", "b"): family})
+    grid = GridSpec(((-1, F(9, 10)), (-1, F(7, 8))), F(1))
+    scan = oracle_overlap(model, "a", "b", grid)
+    assert (scan.members.reach, scan.members.forms) == (0, [])
+    x = point(0, -1)
+    assert oracle._has_escape_witness(x.form, scan.members, grid)
+    assert len(scan.members.forms) == 2
+    assert reference_escape_witness(x.form, oracle.member_list(family, grid.truncate),
+                                    family, grid)
+    assert x not in oracle_choice_points(model, "a", "b", grid).candidates
+
+
+def test_lazy_witness_of_a_true_choice_point_reads_to_the_cap(harmonic_model):
+    # each member n cuts eps above the center to 1/(2n), where members up to
+    # index 2n could lie below: the witness doubles its reach up to the cap
+    family = harmonic_model.family("u", "v")
+    grid = GridSpec(((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2))), F(1, 8), truncate=300)
+    scan = oracle_overlap(harmonic_model, "u", "v", grid)
+    assert (scan.members.reach, len(scan.members.forms)) == (8, 16)
+    center = point(0, 0)
+    assert not oracle._has_escape_witness(center.form, scan.members, grid)
+    assert len(scan.members.forms) == 600
+    assert not reference_escape_witness(center.form, oracle.member_list(family, 300),
+                                        family, grid)
+
+
+def test_large_truncation_reads_only_the_members_points_need(monkeypatch, harmonic_model):
+    yielded = []
+    members = HarmonicPair.members
+
+    def counting(self, limit=None):
+        for m in members(self, limit):
+            yielded.append(m)
+            yield m
+
+    monkeypatch.setattr(HarmonicPair, "members", counting)
+    box = ((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2)))
+    expected = oracle_choice_points(harmonic_model, "u", "v", GridSpec(box, F(1, 8)))
+    grid = GridSpec(box, F(1, 8), truncate=1_000_000)
+    yielded.clear()
+    scan = oracle_overlap(harmonic_model, "u", "v", grid)
+    assert len(yielded) == 16                   # indices up to 8, the grid's bound
+    assert scan.kept == expected.overlap.kept
+    # the center, a true choice point, reads to the cap (test above); every
+    # other maximal point is decided from the members the grid needs
+    center = point(0, 0)
+    tops = oracle._maximal(scan.grid_points, scan.kept, grid)
+    candidates = [x for x, top in zip(scan.grid_points, tops)
+                  if top and x != center
+                  and not oracle._has_escape_witness(x.form, scan.members, grid)]
+    assert candidates == [x for x in expected.candidates if x != center]
+    assert center in expected.candidates
+    assert len(yielded) == 16
+
+
+@pytest.mark.parametrize("box, step", [
+    (((-1, 1), (-1, 1)), F(1, 2)),
+    (((-1, F(9, 10)), (-1, F(7, 8))), F(1, 4)),
+    (((F(-1, 3), F(5, 4)), (F(-7, 5), F(1, 2))), F(2, 7)),
+    (((-1, 1), (F(-1, 2), F(3, 4)), (0, F(5, 6))), F(1, 3)),
+])
+def test_index_flags_match_boundary_flagged(box, step):
+    grid = GridSpec(box, step)
+    origin = point(*[0] * grid.dimension)
+    model = mb.Model(grid.dimension, ("a", "b"), {("a", "b"): FiniteFamily((origin,))})
+    scan = oracle_choice_points(model, "a", "b", grid)
+    points = grid.points()
+    assert scan.is_flagged == tuple(boundary_flagged(grid, x) for x in points)
+    assert scan.flagged == frozenset(x for x in points if boundary_flagged(grid, x))
+    assert any(scan.is_flagged) and not all(scan.is_flagged)
+
+
 # ---------------------------------------------------------------------------
 # Staircase scans in two dimensions against the linear and quadratic scans
 # ---------------------------------------------------------------------------
@@ -304,7 +383,9 @@ def _assert_scans_match_reference(model, grid):
             assert scan.overlap.points == kept, where
             # the dominance sweep on its own: escape witnesses hide some of its errors
             maximal = reference_oracle_maximal(kept)
-            assert oracle._maximal(grid.points(), kept, grid) == maximal, where
+            points = grid.points()
+            tops = oracle._maximal(points, [x in kept for x in points], grid)
+            assert [x for x, top in zip(points, tops) if top] == maximal, where
             assert scan.candidates == reference_oracle_candidates(model, a, b, grid, maximal), where
 
 
