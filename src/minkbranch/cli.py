@@ -223,7 +223,7 @@ def _cmd_oracle(args) -> int:
         if not scans:
             raise UsageError("CSV scans need a scenario pair")
         (a, b), scan = next(iter(scans.items()))
-        cells = [plotting.PlotCell(x.coords[0], x.coords[1], x, kept, cand)
+        cells = [plotting.PlotCell(*x.coords, x, kept, cand)
                  for x, kept, cand in zip(scan.overlap.grid_points, scan.overlap.kept,
                                           scan.is_candidate)]
         _write_text(args.csv, plotting.render_csv(cells))

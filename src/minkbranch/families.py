@@ -20,14 +20,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
 from typing import Iterator
 
 from .errors import DimensionMismatch
-from .minkowski import IntegerForm, Point, format_rational, from_form, leq, lt, point, rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .minkowski import IntegerForm, Point, format_rational, from_form, leq, lt, rational
 
 
 def _check_planar(x: Point) -> None:
@@ -46,17 +42,12 @@ def _format_point(p: Point) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
 
-def _unit_fraction_in(lo: Fraction, hi: Fraction) -> int | None:
-    """Some integer n >= 1 with lo <= 1/n <= hi, or None.
-
-    Returns the smallest such n (the largest qualifying unit fraction).
-    """
+def _unit_fraction_in(lo: int, hi: int, d: int) -> int | None:
+    """The smallest integer n >= 1 with lo/d <= 1/n <= hi/d, for d > 0, or None."""
     if hi <= 0:
         return None
-    n = 1 if hi >= 1 else ceil(_ONE / hi)
-    if lo <= 0 or Fraction(1, n) >= lo:
-        return n
-    return None
+    n = -(-d // hi)
+    return n if lo * n <= d else None
 
 
 class SplittingFamily:
@@ -184,10 +175,10 @@ class IntegerRow(SplittingFamily):
         return limit + 1
 
     def contains(self, x: Point) -> bool:
-        if x.dimension != 2 or x.coords[0] != self.t0:
-            return False
-        u = x.coords[1]
-        return u.denominator == 1 and u >= 0
+        # x0 = t0 and x1 a natural number
+        d, nums = x.form
+        return (len(nums) == 2 and nums[0] * self.t0.denominator == self.t0.numerator * d
+                and nums[1] >= 0 and nums[1] % d == 0)
 
     def file_data(self) -> dict:
         return {"t0": format_rational(self.t0)}
@@ -201,14 +192,16 @@ class IntegerRow(SplittingFamily):
 
     def first_strictly_below(self, x: Point) -> Point | None:
         _check_planar(x)
-        dt = x.coords[0] - self.t0
+        d, (t, u) = x.form
+        q, p = self.t0.denominator, self.t0.numerator
+        dt = t * q - p * d                      # (x0 - t0) * D * q
         if dt <= 0:
             # On the slice itself only the member equal to x is weakly below.
             return None
         # Integers n >= 0 with (t0, n) below x: |x1 - n| <= x0 - t0.
-        u = x.coords[1]
-        n_lo = max(0, ceil(u - dt))
-        return point(self.t0, n_lo) if n_lo <= floor(u + dt) else None
+        u, dq = u * q, d * q
+        n = max(0, -((dt - u) // dq))
+        return from_form(q, (p, n * q)) if n * dq <= u + dt else None
 
 
 @dataclass(frozen=True)
@@ -243,13 +236,13 @@ class HarmonicPair(SplittingFamily):
         return 2 * limit
 
     def contains(self, x: Point) -> bool:
-        if x.dimension != 2 or x.coords[0] != self.center.coords[0]:
+        # x0 = c0 and |x1 - c1| = 1/n: du = |x1 - c1| * D * Dc divides D * Dc
+        d, nums = x.form
+        dc, (c0, c1) = self.center.form
+        if len(nums) != 2 or nums[0] * dc != c0 * d:
             return False
-        u = x.coords[1] - self.center.coords[1]
-        if u == 0:
-            return False
-        inv = _ONE / abs(u)
-        return inv.denominator == 1
+        du = abs(nums[1] * dc - c1 * d)
+        return du > 0 and d * dc % du == 0
 
     def file_data(self) -> dict:
         return {"center": _format_point(self.center)}
@@ -258,27 +251,27 @@ class HarmonicPair(SplittingFamily):
         # center +- (0, 1/n) < x needs dt > 0 and 1/n <= dt +- u; the first
         # such n is the ceiling of 1/(dt +- u).
         d, (t, u, *_) = x
-        c0, c1 = self.center.coords
-        q = c0.denominator * c1.denominator
-        dt = t * q - c0.numerator * c1.denominator * d      # (x0 - c0) * D * q
+        dc, (c0, c1) = self.center.form
+        dt = t * dc - c0 * d                    # (x0 - c0) * D * Dc
         if dt <= 0:
             return 0
-        du = u * q - c1.numerator * c0.denominator * d
-        return max((-(-d * q // v) for v in (dt + du, dt - du) if v > 0), default=0)
+        du = u * dc - c1 * d
+        return max((-(-d * dc // v) for v in (dt + du, dt - du) if v > 0), default=0)
 
     def first_strictly_below(self, x: Point) -> Point | None:
+        # center + sign * (0, 1/n) < x needs dt > 0 and |u - sign/n| <= dt,
+        # that is sign*u - dt <= 1/n <= sign*u + dt, over the denominator D * Dc.
         _check_planar(x)
-        c0, c1 = self.center.coords
-        dt = x.coords[0] - c0
+        d, (t, u) = x.form
+        dc, (c0, c1) = self.center.form
+        dt = t * dc - c0 * d
         if dt <= 0:
             return None
-        u = x.coords[1] - c1
-        n = _unit_fraction_in(u - dt, u + dt)
-        if n is not None:
-            return point(c0, c1 + Fraction(1, n))
-        n = _unit_fraction_in(-u - dt, -u + dt)
-        if n is not None:
-            return point(c0, c1 - Fraction(1, n))
+        du = u * dc - c1 * d
+        for sign in (1, -1):
+            n = _unit_fraction_in(sign * du - dt, sign * du + dt, d * dc)
+            if n is not None:
+                return from_form(dc * n, (c0 * n, c1 * n + sign * dc))
         return None
 
     def accumulation_points(self) -> tuple[Point, ...]:
@@ -306,21 +299,19 @@ class DifferenceRow(SplittingFamily):
         object.__setattr__(self, "zeros_a", za)
         object.__setattr__(self, "zeros_b", zb)
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "points", tuple(point(self.row_time, j) for j in positions))
+        object.__setattr__(self, "points", tuple(from_form(1, (0, j)) for j in positions))
 
     is_finite = True
     slr_by_construction = True
     dimension = 2
-    row_time = _ZERO
 
     def members(self, limit: int | None = None) -> Iterator[Point]:
         return iter(self.points)
 
     def contains(self, x: Point) -> bool:
-        if x.dimension != 2 or x.coords[0] != self.row_time:
-            return False
-        u = x.coords[1]
-        return u.denominator == 1 and u.numerator in self.positions
+        # x = (0, j), an integer point, has the form (1, (0, j))
+        d, nums = x.form
+        return len(nums) == 2 and d == 1 and nums[0] == 0 and nums[1] in self.positions
 
     def first_strictly_below(self, x: Point) -> Point | None:
         # (0, j) < x exactly when x0 > 0 and |x1 - j| <= x0: the first

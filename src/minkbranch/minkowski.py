@@ -6,19 +6,22 @@ The squared interval between x and y is
     -(x0 - y0)^2 + sum_i (xi - yi)^2
 
 and x causally precedes y when the interval is nonpositive and x is not
-later than y.  Coordinates are `fractions.Fraction`s, so every predicate is
+later than y.  Coordinates are exact rationals, so every predicate is
 exactly decidable; floats are rejected at construction time rather than
 silently truncated.
 
-Each point also stores its integer form (D, nums), built once: D is the
-lcm of its coordinate denominators and nums its coordinates times D.  The
-order predicates and `interval` use stored forms and integer arithmetic
-alone; `translated` and `between` build the result's form from theirs.
+A point stores only its integer form (D, nums): D is the lcm of its
+coordinate denominators and nums its coordinates times D.  That form is
+canonical, so equality compares forms; `coords` builds the tuple of
+`fractions.Fraction`s on each read.  Every order question goes through
+`separation`, which gives the time offset and the squared spatial distance
+of two forms in integers; `translated` and `between` build the result's
+form from theirs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -60,35 +63,42 @@ def _lcm_form(coords: tuple[Fraction, ...]) -> IntegerForm:
     return d, tuple([c.numerator * (d // q) for c, q in zip(coords, dens)])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Point:
-    """An event location: a tuple of rational coordinates, time first."""
+    """An event location: rational coordinates, time first, held as their integer form."""
 
-    coords: tuple[Fraction, ...]
     #: The integer form (D, nums), D the lcm of the coordinate denominators.
-    form: IntegerForm = field(init=False, compare=False, repr=False)
+    form: IntegerForm
 
-    def __post_init__(self):
-        coerced = tuple(map(rational, self.coords))
+    def __init__(self, coords: tuple):
+        coerced = tuple(map(rational, coords))
         if len(coerced) < 2:
             raise ValueError("a point needs a time coordinate and at least one spatial coordinate")
-        object.__setattr__(self, "coords", coerced)
         object.__setattr__(self, "form", _lcm_form(coerced))
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        d, nums = self.form
+        return tuple([Fraction(n, d) for n in nums])
+
+    @property
     def dimension(self) -> int:
-        return len(self.coords)
+        return len(self.form[1])
 
     @property
     def time(self) -> Fraction:
-        return self.coords[0]
+        d, nums = self.form
+        return Fraction(nums[0], d)
 
     def translated(self, delta: "Point | tuple") -> "Point":
         other = delta.form if isinstance(delta, Point) else _lcm_form(
             tuple(map(rational, delta)))
-        if len(other[1]) != len(self.coords):
+        if len(other[1]) != len(self.form[1]):
             raise DimensionMismatch("translation vector has wrong dimension")
         return _sum_point(self.form, other)
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __repr__(self) -> str:
         return "Point(%s)" % ", ".join(str(c) for c in self.coords)
@@ -108,52 +118,45 @@ def from_form(d: int, nums: tuple[int, ...]) -> Point:
         d //= g
         nums = tuple([n // g for n in nums])
     p = object.__new__(Point)
-    object.__setattr__(p, "coords", tuple([Fraction(n, d) for n in nums]))
     object.__setattr__(p, "form", (d, nums))
     return p
 
 
 def point(*coords: Fraction | int | str) -> Point:
     """Convenience constructor: point(0, '1/2') -> Point((0, 1/2))."""
-    return Point(tuple(coords))
+    return Point(coords)
 
 
-def _separation(x: Point, y: Point) -> tuple[int, int, int]:
-    """(dt, spread, D): y0 - x0 and the squared spatial distance, over D and D**2."""
-    dx, xn = x.form
-    dy, yn = y.form
+def separation(x: IntegerForm, y: IntegerForm) -> tuple[int, int]:
+    """(dt, spread) from x to y: y0 - x0 and the squared spatial distance.
+
+    Both are integers over the common denominator Dx*Dy: dt scaled by it,
+    spread by its square.  Any common denominator serves as a form's D,
+    not only the lcm: scaling a form by k scales dt by k and spread by
+    k**2, which keeps the sign of spread - dt**2.
+    """
+    dx, xn = x
+    dy, yn = y
     if len(xn) != len(yn):
         raise DimensionMismatch(f"points have dimensions {len(xn)} and {len(yn)}")
     spread = 0
     for i in range(1, len(xn)):
         d = yn[i] * dx - xn[i] * dy
         spread += d * d
-    return yn[0] * dx - xn[0] * dy, spread, dx * dy
+    return yn[0] * dx - xn[0] * dy, spread
 
 
 def interval(x: Point, y: Point) -> Fraction:
     """Squared Minkowski interval; negative timelike, zero lightlike, positive spacelike."""
-    dt, spread, d = _separation(x, y)
+    dt, spread = separation(x.form, y.form)
+    d = x.form[0] * y.form[0]
     return Fraction(spread - dt * dt, d * d)
 
 
 def leq(x: Point, y: Point) -> bool:
-    """x causally precedes y (weakly): y is in the closed future cone of x.
-
-    Decided on the stored forms as in `integer_lt`, with dt >= 0.
-    """
-    dx, xn = x.form
-    dy, yn = y.form
-    if len(xn) != len(yn):
-        raise DimensionMismatch(f"points have dimensions {len(xn)} and {len(yn)}")
-    dt = yn[0] * dx - xn[0] * dy
-    if dt < 0:
-        return False
-    spread = 0
-    for i in range(1, len(xn)):
-        d = yn[i] * dx - xn[i] * dy
-        spread += d * d
-    return spread <= dt * dt
+    """x causally precedes y (weakly): y is in the closed future cone of x."""
+    dt, spread = separation(x.form, y.form)
+    return dt >= 0 and spread <= dt * dt
 
 
 def lt(x: Point, y: Point) -> bool:
@@ -166,25 +169,12 @@ def lt(x: Point, y: Point) -> bool:
 
 
 def integer_lt(m: IntegerForm, x: IntegerForm) -> bool:
-    """lt on integer forms: m strictly precedes x.
+    """lt on integer forms, any common denominator: m strictly precedes x.
 
-    With dt = x0*Dm - m0*Dx, this holds exactly when dt > 0 and
-    sum_i (xi*Dm - mi*Dx)**2 <= dt**2: both sides of `interval` scaled by
-    (Dm*Dx)**2.  dt > 0 already makes the points distinct.  Any common
-    denominator serves as D, not only the lcm: scaling a form by k scales
-    both sides by k**2.  The forms must have the same dimension; callers
-    check that once per scan.
+    dt > 0 already makes the points distinct.
     """
-    dm, mn = m
-    dx, xn = x
-    dt = xn[0] * dm - mn[0] * dx
-    if dt <= 0:
-        return False
-    spread = 0
-    for i in range(1, len(xn)):
-        d = xn[i] * dm - mn[i] * dx
-        spread += d * d
-    return spread <= dt * dt
+    dt, spread = separation(m, x)
+    return dt > 0 and spread <= dt * dt
 
 
 def slr(x: Point, y: Point) -> bool:
@@ -213,8 +203,9 @@ def lift_above(a: Point, b: Point) -> Point:
     between a and b.  Only the ordering guarantees (a <= result, b <= result)
     are ever relied on, not minimality of the overshoot.
     """
-    _, spread, d = _separation(a, b)
-    t = max(a.coords[0], b.coords[0]) + _dyadic_cover_sqrt(Fraction(spread, d * d))
+    _, spread = separation(a.form, b.form)
+    d = a.form[0] * b.form[0]
+    t = max(a.time, b.time) + _dyadic_cover_sqrt(Fraction(spread, d * d))
     return Point((t,) + a.coords[1:])
 
 

@@ -275,9 +275,11 @@ def validate_model(model: Model, truncate: int = TRIANGLE_TRUNCATION) -> Report:
             except MissingFamily:
                 skipped += 1
                 continue
+            triple = f"({ends[0]!r},{mid!r},{ends[1]!r})"
             if not result.ok:
-                triangle_failures.append(
-                    f"({ends[0]!r},{mid!r},{ends[1]!r}) uncovered at {result.witness!r}")
+                triangle_failures.append(f"{triple} uncovered at {result.witness!r}")
+            elif result.method != "exhaustive":
+                report.note(f"triangle {triple} holds on {result.method} only; bounded, not proved")
     detail = "; ".join(triangle_failures)
     if skipped and not triangle_failures:
         detail = f"{skipped} triple(s) skipped for missing families"

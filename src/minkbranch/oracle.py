@@ -56,7 +56,7 @@ from .errors import DimensionMismatch, GridBudgetExceeded
 from .events import LabeledPoint
 from .families import SplittingFamily
 from .histories import is_choice_point
-from .minkowski import IntegerForm, Point, integer_lt, rational
+from .minkowski import IntegerForm, Point, integer_lt, rational, separation
 from .model import BranchingModel, ScenarioId
 from .reporting import Report
 
@@ -108,11 +108,6 @@ class GridSpec:
     def points(self) -> list[Point]:
         axes = [self.axis_values(i) for i in range(self.dimension)]
         return [Point(coords) for coords in product(*axes)]
-
-
-def member_list(family: SplittingFamily, truncate: int) -> list[Point]:
-    """All members of a finite family; those up to index `truncate` of an infinite one."""
-    return list(family.members(limit=truncate))
 
 
 class _MemberForms:
@@ -224,19 +219,9 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     return OverlapScan(tuple(points), tuple(kept), grid.truncate >= needed, note, members)
 
 
-def boundary_flagged(grid: GridSpec, x: Point) -> bool:
-    """Within one light-cone step of the box top or a spatial face."""
-    step = grid.step
-    if x.coords[0] + step > grid.box[0][1]:
-        return True
-    for c, (lo, hi) in zip(x.coords[1:], grid.box[1:]):
-        if c - step < lo or c + step > hi:
-            return True
-    return False
-
-
 def _flags(grid: GridSpec) -> tuple[bool, ...]:
-    """`boundary_flagged` per grid point, in `grid.points()` order, from axis indices."""
+    """Per grid point, in `grid.points()` order: within one light-cone step of
+    the box top or of a spatial face?"""
     # lo + k * step, for k < n, is within one step of hi exactly when k = n - 1
     counts = [_axis_count(lo, hi, grid.step) for lo, hi in grid.box]
     last = counts[0] - 1
@@ -272,8 +257,8 @@ def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -
 
     eps starts at the room left below the box top.  Each member m of index
     up to `members.reach`, with dt = x0 - m0 and S the squared spatial
-    distance, scaled as in `integer_lt` (dt by Dm*Dx, S by its square),
-    cuts eps below m's gap sqrt(S) - dt: to (S - dt**2) / ((isqrt(S) + 1 +
+    distance, scaled as in `minkowski.separation` (dt by Dm*Dx, S by its
+    square), cuts eps below m's gap sqrt(S) - dt: to (S - dt**2) / ((isqrt(S) + 1 +
     dt) * Dm * Dx) when dt >= 0, and to -dt / (Dm * Dx) when dt < 0, which
     keeps y no later than m.  y is a witness once `members_needed` at y is
     at most the index read; until then the index rises to that bound, never
@@ -286,20 +271,15 @@ def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -
     num, den = top.numerator * dx - xn[0] * top.denominator, top.denominator
     if num <= 0:
         return False
-    x0, spatial = xn[0], range(1, len(xn))
     index, done = members.reach, 0
     while True:
         count = members.read(index)
-        for dm, mn in members.forms[done:count]:
-            dt = x0 * dm - mn[0] * dx
+        for m in members.forms[done:count]:
+            dt, s = separation(m, x)
             if dt < 0:
-                cut, cut_den = -dt, dm
+                cut, cut_den = -dt, m[0]
             else:
-                s = 0
-                for i in spatial:
-                    d = xn[i] * dm - mn[i] * dx
-                    s += d * d
-                cut, cut_den = s - dt * dt, (isqrt(s) + 1 + dt) * dm
+                cut, cut_den = s - dt * dt, (isqrt(s) + 1 + dt) * m[0]
             if cut * den < num * cut_den:
                 if cut <= 0:
                     return False        # x is a member

@@ -14,7 +14,7 @@ from .errors import DimensionMismatch
 from .histories import is_choice_point
 from .minkowski import Point, format_rational
 from .model import BranchingModel, ScenarioId
-from .oracle import GridSpec, member_list
+from .oracle import GridSpec
 
 CSV_HEADER = "t,x,in_region,choice_point"
 
@@ -121,12 +121,12 @@ def render_svg(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: GridSp
 
     family = model.family(a, b)
     fixed = dict(fixed or {})
-    for m in member_list(family, grid.truncate):
-        mx = m.coords[axis]
-        mt = m.coords[0]
+    for m in family.members(limit=grid.truncate):
+        c = m.coords
+        mx, mt = c[axis], c[0]
         if not (ts[0] <= mt <= ts[-1] and xs[0] <= mx <= xs[-1]):
             continue
-        if any(m.coords[i] != v for i, v in fixed.items()):
+        if any(c[i] != v for i, v in fixed.items()):
             continue
         out.append(
             f'  <circle cx="{px(mx):.2f}" cy="{py(mt):.2f}" r="3.00" fill="#1f4e79"/>')

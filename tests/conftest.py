@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
 
 import minkbranch as mb
-from minkbranch import events, minkowski, oracle
+from minkbranch import events, minkowski
+from minkbranch.errors import DimensionMismatch
 from minkbranch.events import LabeledPoint
 from minkbranch.minkowski import point
 
@@ -50,9 +51,69 @@ def reference_difference_triangle(ab, bc, ac):
     return None
 
 
+def _reference_unit_fraction_in(lo: Fraction, hi: Fraction) -> int | None:
+    """The smallest integer n >= 1 with lo <= 1/n <= hi, or None."""
+    if hi <= 0:
+        return None
+    n = 1 if hi >= 1 else ceil(1 / hi)
+    return n if lo <= 0 or Fraction(1, n) >= lo else None
+
+
+def reference_contains(family, x) -> bool:
+    """`contains` of an IntegerRow, HarmonicPair or DifferenceRow, on the Fraction coordinates."""
+    if x.dimension != 2:
+        return False
+    t, u = x.coords
+    if isinstance(family, mb.IntegerRow):
+        return t == family.t0 and u.denominator == 1 and u >= 0
+    if isinstance(family, mb.HarmonicPair):
+        c0, c1 = family.center.coords
+        return t == c0 and u != c1 and (1 / abs(u - c1)).denominator == 1
+    return t == 0 and u.denominator == 1 and u.numerator in family.positions
+
+
+def reference_first_strictly_below(family, x):
+    """`first_strictly_below` of the three planar kinds, on the Fraction coordinates."""
+    if x.dimension != 2:
+        raise DimensionMismatch("this family kind lives in two dimensions")
+    t, u = x.coords
+    if isinstance(family, mb.IntegerRow):
+        # integers n >= 0 with (t0, n) below x: |x1 - n| <= x0 - t0
+        dt = t - family.t0
+        if dt <= 0:
+            return None
+        n = max(0, ceil(u - dt))
+        return point(family.t0, n) if n <= floor(u + dt) else None
+    if isinstance(family, mb.HarmonicPair):
+        c0, c1 = family.center.coords
+        dt, u = t - c0, u - c1
+        if dt <= 0:
+            return None
+        for sign in (1, -1):
+            n = _reference_unit_fraction_in(sign * u - dt, sign * u + dt)
+            if n is not None:
+                return point(c0, c1 + Fraction(sign, n))
+        return None
+    # a difference row sits at time 0: the least position j with |x1 - j| <= x0
+    if t <= 0:
+        return None
+    return next((point(0, j) for j in family.positions if abs(u - j) <= t), None)
+
+
+def boundary_flagged(grid, x) -> bool:
+    """Within one light-cone step of the box top or a spatial face, from the coordinates."""
+    step = grid.step
+    if x.coords[0] + step > grid.box[0][1]:
+        return True
+    for c, (lo, hi) in zip(x.coords[1:], grid.box[1:]):
+        if c - step < lo or c + step > hi:
+            return True
+    return False
+
+
 def reference_oracle_overlap(model, a, b, grid) -> frozenset:
     """Grid points with no truncated member strictly below them, by a linear scan."""
-    forms = [m.form for m in oracle.member_list(model.family(a, b), grid.truncate)]
+    forms = [m.form for m in model.family(a, b).members(limit=grid.truncate)]
     return frozenset(x for x in grid.points()
                      if not any(minkowski.integer_lt(m, x.form) for m in forms))
 
@@ -96,7 +157,7 @@ def reference_escape_witness(x, members, family, grid) -> bool:
 def reference_oracle_candidates(model, a, b, grid, maximal) -> tuple:
     """Choice-point candidates: the `maximal` points with no eager escape witness."""
     family = model.family(a, b)
-    members = oracle.member_list(family, grid.truncate)
+    members = list(family.members(limit=grid.truncate))
     return tuple(x for x in maximal
                  if not reference_escape_witness(x.form, members, family, grid))
 
@@ -182,6 +243,17 @@ def triangle_violation_model():
         ("a", "b"): mb.FiniteFamily((point(0, 0),)),
         ("b", "c"): mb.FiniteFamily((point(0, 2),)),
         ("a", "c"): mb.FiniteFamily((point(0, 1),)),
+    })
+
+
+@pytest.fixture(scope="session")
+def rows_under_harmonic_model():
+    # The (a, c) member at (0, 500 + 1/2), of index 2, is beside every
+    # member of the two rows; enumerating (a, c) to index 1 misses it.
+    return mb.Model(2, ("a", "b", "c"), {
+        ("a", "b"): mb.IntegerRow(0),
+        ("b", "c"): mb.IntegerRow(0),
+        ("a", "c"): mb.HarmonicPair(point(0, 500)),
     })
 
 

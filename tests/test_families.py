@@ -17,6 +17,8 @@ from minkbranch.families import (
 from minkbranch.minkowski import leq, lt, point
 from minkbranch.model import Model
 
+from conftest import reference_contains, reference_first_strictly_below
+
 
 def brute_any_strictly_below(family, x, limit):
     return any(lt(m, x) for m in family.members(limit=limit))
@@ -363,3 +365,68 @@ def test_members_needed_is_not_a_bound_on_every_member_below():
     needed = family.members_needed(x.form)
     assert needed == 1
     assert all(lt(m, x) for m in family.members(limit=50))
+
+
+def _planar_probes(rng, family):
+    """Points that stress a planar kind's closed forms, each with its probe type.
+
+    Members, points on the row's time slice, points on a member's lightlike
+    edges and just off them, and offsets on both sides of the centre.
+    """
+    if isinstance(family, IntegerRow):
+        t0, x0 = family.t0, F(0)
+    elif isinstance(family, HarmonicPair):
+        t0, x0 = family.center.coords
+    else:
+        t0, x0 = F(0), F(0)
+    members = list(family.members(limit=12))
+    for m in rng.sample(members, min(4, len(members))):
+        yield "member", m
+    for _ in range(4):
+        yield "slice", point(t0, x0 + _random_rational(rng, -4, 8, 16))
+    for m in rng.sample(members, min(3, len(members))):
+        d = _random_rational(rng, 0, 3, 16) or F(1, 16)
+        side = rng.choice((1, -1))
+        for nudge in (0, F(1, 97), F(-1, 97)):
+            yield "lightlike", point(m.coords[0] + d + nudge, m.coords[1] + side * d)
+    for _ in range(4):
+        dt, du = _random_rational(rng, -1, 3, 16), _random_rational(rng, 0, 3, 16)
+        yield "offset", point(t0 + dt, x0 - du)
+        yield "offset", point(t0 + dt, x0 + du)
+
+
+def test_planar_closed_forms_match_fraction_references():
+    # the closed forms run on integer forms; the references in conftest run
+    # the same formulas on Fraction coordinates
+    rng = random.Random(20070612)
+    seen = {}
+    for _ in range(150):
+        kind = rng.randrange(3)
+        if kind == 0:
+            family = IntegerRow(_random_rational(rng, -2, 2, 16))
+        elif kind == 1:
+            family = HarmonicPair(point(_random_rational(rng, -2, 2, 16),
+                                        _random_rational(rng, -2, 2, 16)))
+        else:
+            family = DifferenceRow(frozenset(rng.sample(range(8), rng.randint(0, 5))),
+                                   frozenset(rng.sample(range(8), rng.randint(0, 5))))
+        for probe, x in _planar_probes(rng, family):
+            member = family.contains(x)
+            first = family.first_strictly_below(x)
+            assert member == reference_contains(family, x), (family, x)
+            assert first == reference_first_strictly_below(family, x), (family, x)
+            assert first is None or first.form == reference_first_strictly_below(family, x).form
+            key = (type(family).__name__, probe)
+            hits = seen.setdefault(key, [0, 0])
+            hits[0] += member
+            hits[1] += first is not None
+        off = point(0, 0, 0)
+        assert not family.contains(off)
+        assert not reference_contains(family, off)
+        with pytest.raises(DimensionMismatch):
+            family.first_strictly_below(off)
+        with pytest.raises(DimensionMismatch):
+            reference_first_strictly_below(family, off)
+    for kind in ("IntegerRow", "HarmonicPair", "DifferenceRow"):
+        assert seen[kind, "member"][0] > 20 and seen[kind, "lightlike"][1] > 20, kind
+        assert seen[kind, "slice"][1] == 0 and seen[kind, "offset"][1] > 5, kind

@@ -15,6 +15,7 @@ from minkbranch.minkowski import (
     between,
     common_upper_bound,
     comparable,
+    from_form,
     integer_lt,
     interval,
     leq,
@@ -159,11 +160,11 @@ def test_stored_form_is_the_lcm_form_of_every_constructed_point():
 def test_hash_and_equality_read_only_the_coordinates():
     p = point(F(1, 2), F(-3, 4), 5)
     assert hash(p) == hash((p.coords,))
-    q = point("1/2", "-3/4", "5/1")
-    d, nums = q.form
-    object.__setattr__(q, "form", (2 * d, tuple(2 * n for n in nums)))
-    assert q == p and hash(q) == hash(p)
-    assert repr(q) == "Point(1/2, -3/4, 5)"
+    # the same coordinates from strings, Fractions or a non-reduced form
+    for q in (point("1/2", "-3/4", "5/1"), Point((F(1, 2), F(-3, 4), F(5))),
+              from_form(8, (4, -6, 40))):
+        assert q == p and hash(q) == hash(p)
+        assert repr(q) == "Point(1/2, -3/4, 5)"
     assert not hasattr(p, "__dict__")   # the form sits in a slot
 
 

@@ -204,6 +204,25 @@ def test_truncation_below_one_is_rejected():
     assert "uncovered at Point(0, 1001/2)" in report.render()
 
 
+BOUNDED_NOTES = [f"triangle {t} holds on members up to index 1 only; bounded, not proved"
+                 for t in ("('b','a','c')", "('a','b','c')", "('a','c','b')")]
+
+
+def test_validate_notes_each_triangle_verdict_bounded_by_truncation(rows_under_harmonic_model):
+    report = validate_model(rows_under_harmonic_model, truncate=1)
+    assert report.notes == BOUNDED_NOTES
+    # at the default the (a, c) triple fails on a witness, which no bound qualifies
+    report = validate_model(rows_under_harmonic_model)
+    assert not check_names(report)["triangle"]
+    assert report.notes == [BOUNDED_NOTES[0].replace("index 1", f"index {TRIANGLE_TRUNCATION}"),
+                            BOUNDED_NOTES[2].replace("index 1", f"index {TRIANGLE_TRUNCATION}")]
+
+
+def test_validate_adds_no_note_on_finite_triples(triangle_violation_model, random_battery):
+    for m in [triangle_violation_model] + random_battery:
+        assert validate_model(m, truncate=1).notes == []
+
+
 def test_infinite_families_validate_with_truncation(harmonic_model, integer_row_model):
     assert validate_model(harmonic_model).passed
     assert validate_model(integer_row_model, truncate=TRIANGLE_TRUNCATION).passed

@@ -10,15 +10,10 @@ from minkbranch import minkowski, modelfile, oracle
 from minkbranch.errors import GridBudgetExceeded
 from minkbranch.families import FiniteFamily, HarmonicPair, IntegerRow
 from minkbranch.minkowski import Point, lt, point
-from minkbranch.oracle import (
-    GridSpec,
-    boundary_flagged,
-    oracle_choice_points,
-    oracle_cross_check,
-    oracle_overlap,
-)
+from minkbranch.oracle import GridSpec, oracle_choice_points, oracle_cross_check, oracle_overlap
 
 from conftest import (
+    boundary_flagged,
     build_random_battery,
     reference_escape_witness,
     reference_oracle_candidates,
@@ -169,7 +164,7 @@ def test_truncation_adequacy_integer_row():
     assert adequate(box, 4)
     assert not adequate(box, 3)
     assert adequate(((-3, -1), (-2, 2)), 1)
-    assert oracle.member_list(row, truncate=4)[-1] == point(0, 4)
+    assert list(row.members(limit=4))[-1] == point(0, 4)
 
 
 def test_truncation_adequacy_harmonic():
@@ -303,7 +298,7 @@ def test_lazy_witness_reads_past_the_grid_bound():
     x = point(0, -1)
     assert oracle._has_escape_witness(x.form, scan.members, grid)
     assert len(scan.members.forms) == 2
-    assert reference_escape_witness(x.form, oracle.member_list(family, grid.truncate),
+    assert reference_escape_witness(x.form, list(family.members(limit=grid.truncate)),
                                     family, grid)
     assert x not in oracle_choice_points(model, "a", "b", grid).candidates
 
@@ -318,7 +313,7 @@ def test_lazy_witness_of_a_true_choice_point_reads_to_the_cap(harmonic_model):
     center = point(0, 0)
     assert not oracle._has_escape_witness(center.form, scan.members, grid)
     assert len(scan.members.forms) == 600
-    assert not reference_escape_witness(center.form, oracle.member_list(family, 300),
+    assert not reference_escape_witness(center.form, list(family.members(limit=300)),
                                         family, grid)
 
 

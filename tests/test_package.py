@@ -1,5 +1,6 @@
 """The package's import surface: what each entry point loads, in fresh interpreters."""
 
+import ast
 import json
 import os
 import subprocess
@@ -57,3 +58,20 @@ def test_unknown_name_raises_attribute_error():
 def test_dir_lists_every_public_name():
     assert set(mb.__all__) <= set(dir(mb))
     assert "__version__" in dir(mb)
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((SRC / "minkbranch").glob("*.py"))
+    assert len(sources) > 10
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
