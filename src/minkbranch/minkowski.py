@@ -122,6 +122,19 @@ def from_form(d: int, nums: tuple[int, ...]) -> Point:
     return p
 
 
+def lattice(box: tuple[tuple[Fraction, Fraction], ...], step: Fraction
+            ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The points lo + k * step, 0 <= k < count, on each axis of a box, as integers.
+
+    Returns (D, step * D, each lo * D, each axis's count), with D the lcm
+    of the denominators of the step and of the lower bounds.
+    """
+    d = lcm(step.denominator, *(lo.denominator for lo, _ in box))
+    return (d, step.numerator * (d // step.denominator),
+            tuple(lo.numerator * (d // lo.denominator) for lo, _ in box),
+            tuple(int((hi - lo) / step) + 1 for lo, hi in box))
+
+
 def point(*coords: Fraction | int | str) -> Point:
     """Convenience constructor: point(0, '1/2') -> Point((0, 1/2))."""
     return Point(coords)
@@ -166,15 +179,6 @@ def lt(x: Point, y: Point) -> bool:
     forms are lcm forms, so distinct points have distinct forms.
     """
     return leq(x, y) and x.form != y.form
-
-
-def integer_lt(m: IntegerForm, x: IntegerForm) -> bool:
-    """lt on integer forms, any common denominator: m strictly precedes x.
-
-    dt > 0 already makes the points distinct.
-    """
-    dt, spread = separation(m, x)
-    return dt > 0 and spread <= dt * dt
 
 
 def slr(x: Point, y: Point) -> bool:

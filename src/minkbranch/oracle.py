@@ -7,20 +7,19 @@ in the overlap.  No closed-form family query is consulted, which is the
 point: the oracle is the independent side of the agreement obligation on
 the analytic decision procedures.
 
-In two dimensions both scans are staircase queries on the grid's light-cone
-lattice.  Grid point (i, j) is lo + (i, j) * step; with U = i + j and
-V = i - j, a point m strictly precedes it exactly when U and V are at least
-the ceilings (cu, cv) of m's light-cone offsets, (t + x - u0) / step and
-(t - x - v0) / step, and m is not the grid point itself.  The ceilings come
-from integer division on m's stored form (`Point.form`).  A member on a
-lattice point, both divisions exact, gives the corners (cu, cv + 1) and
-(cu + 1, cv) instead, which leaves out the point itself.  The overlap scan
-keeps, per U, the least cv over corners with cu <= U; the dominance sweep
-keeps, per U, the greatest V of a kept point at U or beyond.  Each costs
-O(M + G) for M members and G grid points.  Above two dimensions the cone
-is not a product order, and both scans compare integer forms pairwise with
-`minkowski.integer_lt`.  The forms belong to the enumerated points
-themselves, never to a family's closed form.
+Both scans run on columns.  A column is a spatial grid point, and grid
+point (i, c) lies on it at time index i.  The scanned overlap is downward
+closed, so the kept points of each column are a prefix in time, given by
+its height h_c: the least, over the members read, of the first time index
+at which the member lies strictly below the column.  That index is one
+`isqrt` and one floor division on the member's stored form (`Point.form`),
+with dt > 0 required, which leaves a member's own grid point kept.  A kept
+point can be maximal only at the top of its column, and a top is maximal
+unless another column's top lies strictly above it: in grid indices,
+di > 0 and di**2 >= |dc|**2.  The overlap scan costs O(M * C) for M members
+and C columns, the dominance sweep O(C**2), in every dimension.  The forms
+belong to the enumerated points themselves, never to a family's closed
+form.
 
 `truncate` caps the member indices a scan reads, and a scan reads only as
 far as a family kind's `members_needed` says: if a member lies strictly
@@ -47,16 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, islice, product
-from math import isqrt
-from typing import Iterator, Sequence
+from itertools import combinations, compress, groupby, islice, product
+from math import isqrt, prod
+from typing import Sequence
 
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
 from .events import LabeledPoint
 from .families import SplittingFamily
 from .histories import is_choice_point
-from .minkowski import IntegerForm, Point, integer_lt, rational, separation
+from .minkowski import IntegerForm, Point, from_form, lattice, rational, separation
 from .model import BranchingModel, ScenarioId
 from .reporting import Report
 
@@ -106,8 +105,9 @@ class GridSpec:
         return [lo + self.step * k for k in range(_axis_count(lo, hi, self.step))]
 
     def points(self) -> list[Point]:
-        axes = [self.axis_values(i) for i in range(self.dimension)]
-        return [Point(coords) for coords in product(*axes)]
+        d, step, lows, counts = lattice(self.box, self.step)
+        return [from_form(d, nums)
+                for nums in product(*(range(lo, lo + step * n, step) for lo, n in zip(lows, counts)))]
 
 
 class _MemberForms:
@@ -131,63 +131,22 @@ class _MemberForms:
         return count
 
 
-def _cone_corners(forms: list[IntegerForm], grid: GridSpec) -> Iterator[tuple[int, int]]:
-    """Light-cone index corners (cu, cv) of planar member forms.
-
-    A member strictly precedes grid point (i, j) exactly when i + j >= cu
-    and i - j >= cv for one of its corners.  cu and cv are the ceilings of
-    (t + x - u0) / step and (t - x - v0) / step, with (u0, v0) the light-cone
-    coordinates of the box corner; a member on a lattice point gives two
-    corners, which leave out that point.
-    """
-    (t_lo, _), (x_lo, _) = grid.box
-    p, q = grid.step.numerator, grid.step.denominator
-    u0, v0 = t_lo + x_lo, t_lo - x_lo
-    # offset = (s * b - a * D) * q / (D * b * p), for origin a / b and form (D, nums)
-    ua, ub, up = u0.numerator * q, u0.denominator * q, u0.denominator * p
-    va, vb, vp = v0.numerator * q, v0.denominator * q, v0.denominator * p
-    for d, (t, x) in forms:
-        cu, ru = divmod(d * ua - (t + x) * ub, d * up)     # (-ceil, remainder)
-        cv, rv = divmod(d * va - (t - x) * vb, d * vp)
-        if ru or rv:
-            yield -cu, -cv
-        else:
-            yield -cu, 1 - cv
-            yield 1 - cu, -cv
-
-
-def _staircase_kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
-    """Per planar grid point, in `grid.points()` order: is no member strictly below it?"""
-    rows, cols = (_axis_count(lo, hi, grid.step) for lo, hi in grid.box)
-    top = rows + cols - 2                       # the largest U
-    best = [rows] * (top + 1)                   # rows exceeds every V = i - j
-    for cu, cv in _cone_corners(forms, grid):
-        if cu <= top:
-            k = max(cu, 0)
-            if cv < best[k]:
-                best[k] = cv
-    for u in range(1, top + 1):
-        if best[u - 1] < best[u]:
-            best[u] = best[u - 1]
-    return [best[i + j] > i - j for i in range(rows) for j in range(cols)]
-
-
-def _staircase_maximal(kept: Sequence[bool], grid: GridSpec) -> list[bool]:
-    """Per planar grid point, in `grid.points()` order: kept, and below no other kept point?"""
-    rows, cols = (_axis_count(lo, hi, grid.step) for lo, hi in grid.box)
-    top = rows + cols - 2
-    high = [-cols] * (top + 2)                  # per U, the greatest kept V; -cols is below every V
-    for k, keep in enumerate(kept):
-        if keep:
-            i, j = divmod(k, cols)
-            if i - j > high[i + j]:
-                high[i + j] = i - j
-    above = high[:]                             # per U, the greatest kept V at U or beyond
-    for u in range(top - 1, -1, -1):
-        if above[u + 1] > above[u]:
-            above[u] = above[u + 1]
-    return [keep and high[i + j] == i - j and above[i + j + 1] < i - j
-            for keep, (i, j) in zip(kept, product(range(rows), range(cols)))]
+def _kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
+    """Per grid point, in `grid.points()` order: is no member strictly below it?"""
+    d, step, (t_lo, *lows), (rows, *counts) = lattice(grid.box, grid.step)
+    heights = [rows] * prod(counts)
+    for dm, (m0, *mn) in forms:
+        # Over the denominator d * dm: the squared spatial distance s from the
+        # member to each column, in grid order, and dt = i * rise - base at time index i.
+        spreads = [0]
+        for lo, n, c in zip(lows, counts, mn):
+            offsets = [((lo + step * k) * dm - c * d) ** 2 for k in range(n)]
+            spreads = [s + o for s in spreads for o in offsets]
+        base, rise = m0 * d - t_lo * dm, step * dm
+        # the least i with dt >= max(1, ceil(sqrt(s)))
+        heights = [min(h, ((isqrt(s - 1) if s else 0) + base) // rise + 1)
+                   for h, s in zip(heights, spreads)]
+    return [i < h for i in range(rows) for h in heights]
 
 
 @dataclass(frozen=True)
@@ -211,10 +170,7 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     points = grid.points()
     needed = max(family.members_needed(x.form) for x in points)
     members = _MemberForms(family, grid, min(needed, grid.truncate))
-    if grid.dimension == 2:
-        kept = _staircase_kept(members.forms, grid)
-    else:
-        kept = [not any(integer_lt(m, x.form) for m in members.forms) for x in points]
+    kept = _kept(members.forms, grid)
     note = f"member indices up to {needed} reachable, cap {grid.truncate}"
     return OverlapScan(tuple(points), tuple(kept), grid.truncate >= needed, note, members)
 
@@ -223,7 +179,7 @@ def _flags(grid: GridSpec) -> tuple[bool, ...]:
     """Per grid point, in `grid.points()` order: within one light-cone step of
     the box top or of a spatial face?"""
     # lo + k * step, for k < n, is within one step of hi exactly when k = n - 1
-    counts = [_axis_count(lo, hi, grid.step) for lo, hi in grid.box]
+    counts = lattice(grid.box, grid.step)[3]
     last = counts[0] - 1
     return tuple(idx[0] == last or any(k == 0 or k == n - 1 for k, n in zip(idx[1:], counts[1:]))
                  for idx in product(*map(range, counts)))
@@ -243,13 +199,30 @@ class ChoiceScan:
 
 
 def _maximal(points: Sequence[Point], kept: Sequence[bool], grid: GridSpec) -> list[bool]:
-    """Per grid point, in `grid.points()` order: kept, and below no other kept point?"""
-    if grid.dimension == 2:
-        return _staircase_maximal(kept, grid)
-    # Grid order sorts by time, and a point strictly above x comes later.
-    forms = [x.form for x, keep in zip(points, kept) if keep]
-    tops = iter([not any(integer_lt(f, z) for z in forms[i + 1:]) for i, f in enumerate(forms)])
-    return [keep and next(tops) for keep in kept]
+    """Per grid point, in `grid.points()` order: kept, and below no other kept point?
+
+    `kept` is a time prefix on each column, so its count there is the
+    column's height, and only a column's top can be maximal.  A kept point
+    above a top lies on or below its own column's top, so a top is maximal
+    unless another top lies strictly above it: di > 0 and di**2 >= |dc|**2.
+    """
+    rows, *counts = lattice(grid.box, grid.step)[3]
+    columns = list(product(*map(range, counts)))
+    width = len(columns)
+    heights = [sum(kept[c::width]) for c in range(width)]
+    top = [-1] * width                          # per column, its maximal top's time index
+    above: list[tuple[int, tuple[int, ...]]] = []   # (height, column) of the higher tops
+    for h, level in groupby(sorted(range(width), key=heights.__getitem__, reverse=True),
+                            key=heights.__getitem__):
+        if not h:
+            break
+        level = list(level)
+        for c in level:
+            if not any(sum((a - b) ** 2 for a, b in zip(columns[c], e)) <= (g - h) ** 2
+                       for g, e in above):
+                top[c] = h - 1
+        above += [(h, columns[c]) for c in level]
+    return [i == t for i in range(rows) for t in top]
 
 
 def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -> bool:

@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .families import FiniteFamily
-from .minkowski import IntegerForm, Point, _sum_point, from_form, rational
+from .minkowski import IntegerForm, Point, _sum_point, from_form, lattice, rational
 from .model import Model
 
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -63,14 +62,11 @@ class Sampler:
             raise ValueError("sampler step must be positive")
         box = config.resolved_box(dimension)
         self.rng = random.Random(config.seed)
-        self._den = lcm(step.denominator, *(lo.denominator for lo, _ in box))
-        self._step = step.numerator * (self._den // step.denominator)
-        self._low = tuple(lo.numerator * (self._den // lo.denominator) for lo, _ in box)
-        self._counts = [int((hi - lo) / step) for lo, hi in box]
+        self._den, self._step, self._low, self._counts = lattice(box, step)
 
     def point(self) -> Point:
         return from_form(self._den, tuple([
-            lo + self._step * self.rng.randint(0, n) for lo, n in zip(self._low, self._counts)]))
+            lo + self._step * self.rng.randrange(n) for lo, n in zip(self._low, self._counts)]))
 
     def causal_delta(self) -> IntegerForm:
         """A displacement (dt, delta...) with spatial length at most dt, as an integer form.

@@ -111,18 +111,27 @@ def boundary_flagged(grid, x) -> bool:
     return False
 
 
+def integer_lt(m, x) -> bool:
+    """The strict causal order on integer forms, any common denominator: m strictly precedes x.
+
+    dt > 0 already makes the points distinct.
+    """
+    dt, spread = minkowski.separation(m, x)
+    return dt > 0 and spread <= dt * dt
+
+
 def reference_oracle_overlap(model, a, b, grid) -> frozenset:
     """Grid points with no truncated member strictly below them, by a linear scan."""
     forms = [m.form for m in model.family(a, b).members(limit=grid.truncate)]
     return frozenset(x for x in grid.points()
-                     if not any(minkowski.integer_lt(m, x.form) for m in forms))
+                     if not any(integer_lt(m, x.form) for m in forms))
 
 
 def reference_oracle_maximal(kept) -> list:
     """The points of `kept` below no other, by time, from a quadratic dominance sweep."""
     kept = sorted(kept, key=lambda p: p.coords)
     return [x for i, x in enumerate(kept)
-            if not any(minkowski.integer_lt(x.form, z.form) for z in kept[i + 1:])]
+            if not any(integer_lt(x.form, z.form) for z in kept[i + 1:])]
 
 
 def reference_escape_witness(x, members, family, grid) -> bool:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from conftest import reference_interval, reference_leq, reference_lt
+from conftest import integer_lt, reference_interval, reference_leq, reference_lt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from minkbranch.minkowski import (
     common_upper_bound,
     comparable,
     from_form,
-    integer_lt,
     interval,
     leq,
     lift_above,

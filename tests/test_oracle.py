@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import minkbranch as mb
-from minkbranch import minkowski, modelfile, oracle
+from minkbranch import modelfile, oracle
 from minkbranch.errors import GridBudgetExceeded
 from minkbranch.families import FiniteFamily, HarmonicPair, IntegerRow
 from minkbranch.minkowski import Point, lt, point
@@ -364,7 +364,7 @@ def test_index_flags_match_boundary_flagged(box, step):
 
 
 # ---------------------------------------------------------------------------
-# Staircase scans in two dimensions against the linear and quadratic scans
+# Column scans against the linear and quadratic scans
 # ---------------------------------------------------------------------------
 
 
@@ -423,21 +423,77 @@ def test_staircase_scans_match_linear_scans_on_awkward_members():
             _assert_scans_match_reference(model, GridSpec(box, step))
 
 
-def test_planar_scans_make_no_pairwise_order_test(monkeypatch, harmonic_model):
+def _assert_scans_match_reference_somewhere(model, grid):
+    """Run `_assert_scans_match_reference`; is the scanned overlap neither empty nor full?"""
+    kept = oracle_overlap(model, "a", "b", grid).kept
+    _assert_scans_match_reference(model, grid)
+    return any(kept) and not all(kept)
+
+
+@pytest.mark.parametrize("members, boxes, steps", [
+    ([point(0, 0, 0), point(F(1, 4), 0, 0), point(F(1, 2), F(1, 4), F(1, 4)),
+      point(F(1, 3), F(-1, 5), F(1, 2)), point(F(1, 2), -1, -1), point(-1, 1, -1),
+      point(F(-5, 4), 2, 2), point(0, F(3, 2), 0), point(F(3, 2), 0, 0)],
+     [((-1, 1),) * 3, ((F(-1, 3), F(5, 4)), (F(-7, 5), F(1, 2)), (0, F(5, 6)))],
+     (F(1, 4), F(1, 3), F(2, 7))),
+    ([point(0, 0, 0, 0), point(F(1, 4), 0, 0, 0), point(F(1, 2), F(1, 4), 0, F(1, 4)),
+      point(F(1, 3), F(-1, 5), F(1, 2), 0), point(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)),
+      point(F(-3, 4), 1, 1, 0), point(0, F(3, 4), 0, 0), point(1, 0, 0, 0)],
+     [((F(-1, 2), F(1, 2)),) * 4], (F(1, 4), F(1, 3))),
+], ids=["3d", "4d"])
+def test_column_scans_match_linear_scans_on_awkward_members_above_two_dimensions(
+        members, boxes, steps):
+    # members on grid points, causally related members, and members below
+    # (one past a corner), above and beside the box
+    model = mb.Model(members[0].dimension, ("a", "b"), {("a", "b"): FiniteFamily(tuple(members))})
+    for box in boxes:
+        for step in steps:
+            assert _assert_scans_match_reference_somewhere(model, GridSpec(box, step)), (box, step)
+
+
+@pytest.mark.parametrize("dimension, box", [
+    (3, ((-1, 1), (-1, 1), (F(-1, 2), 1))),
+    (4, ((F(-1, 2), F(1, 2)),) * 4),
+])
+def test_column_scans_match_linear_scans_on_random_members_above_two_dimensions(dimension, box):
+    rng = random.Random(20070611 + dimension)
+    telling = 0
+    for step in (F(1, 2), F(1, 3), F(1, 4), F(2, 7)):
+        grid_points = GridSpec(box, step).points()
+        for _ in range(3):
+            members, size = set(), rng.randint(1, 5)
+            while len(members) < size:
+                if rng.random() < 0.3:             # a grid point
+                    members.add(rng.choice(grid_points))
+                else:                              # anywhere near the box, denominators 1 to 8
+                    q = rng.randint(1, 8)
+                    members.add(Point(tuple(F(rng.randint(-2 * q, 2 * q), q)
+                                            for _ in range(dimension))))
+            family = FiniteFamily(tuple(sorted(members, key=lambda m: m.coords)))
+            model = mb.Model(dimension, ("a", "b"), {("a", "b"): family})
+            telling += _assert_scans_match_reference_somewhere(model, GridSpec(box, step))
+    assert telling >= 6
+
+
+def test_scans_make_no_pairwise_order_test(monkeypatch, harmonic_model):
+    # escape witnesses still call `separation`, so the scans are called on their own
     calls = []
-    original = minkowski.integer_lt
+    original = oracle.separation
 
     def counting(m, x):
         calls.append(None)
         return original(m, x)
 
-    monkeypatch.setattr(oracle, "integer_lt", counting)
-    grid = GridSpec(((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2))), F(1, 8))
-    scan = oracle_choice_points(harmonic_model, "u", "v", grid)
-    assert point(0, 0) in scan.candidates
-    assert calls == []
-
-    # the counter does see the pairwise scans above two dimensions
-    model = mb.Model(3, ("a", "b"), {("a", "b"): FiniteFamily((point(0, 0, 0),))})
-    oracle_choice_points(model, "a", "b", GridSpec(((-1, 1),) * 3, F(1, 2)))
-    assert calls
+    monkeypatch.setattr(oracle, "separation", counting)
+    half = (F(-1, 2), F(1, 2))
+    members = (point(0, 0, 0), point(F(1, 4), F(1, 8), F(-1, 3)))
+    cases = [(harmonic_model, "u", "v", GridSpec((half, half), F(1, 8)))] + [
+        (mb.Model(d, ("a", "b"), {("a", "b"): FiniteFamily(tuple(
+            Point(m.coords + (F(1, 5),) * (d - 3)) for m in members))}),
+         "a", "b", GridSpec((half,) * d, F(1, 4)))
+        for d in (3, 4)]
+    for model, a, b, grid in cases:
+        scan = oracle_overlap(model, a, b, grid)
+        assert any(scan.kept) and not all(scan.kept)
+        assert any(oracle._maximal(scan.grid_points, scan.kept, grid))
+        assert calls == [], grid.dimension
