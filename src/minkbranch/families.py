@@ -53,13 +53,17 @@ def _unit_fraction_in(lo: int, hi: int, d: int) -> int | None:
 class SplittingFamily:
     """The protocol every family kind follows.
 
-    A kind writes `contains`, `members`, `file_data` and, where it has a
-    closed form, `first_strictly_below`; the other cone queries are derived
-    here, once.  An infinite kind also writes `members_needed`.
+    A kind writes `contains`, `file_data` and, where it has a closed form,
+    `first_strictly_below`; the other cone queries are derived here, once.
+    A finite kind writes `members`.  An infinite kind writes `first_index`
+    and `index_members`, from which `members` yields, `members_needed` and,
+    where that bound can grow as a point descends, `members_needed_floor`.
     """
 
     is_finite: bool
     slr_by_construction: bool
+    #: An infinite kind's least member index.
+    first_index: int
 
     def members(self, limit: int | None = None) -> Iterator[Point]:
         """The members in index order: all of a finite kind's, an infinite kind's up to `limit`.
@@ -67,11 +71,18 @@ class SplittingFamily:
         `IntegerRow` index n is the one point (t0, n), for n >= 0, and
         `HarmonicPair` index n the two points center +- (0, 1/n), for n >= 1.
         """
-        raise NotImplementedError
+        if limit is None:
+            raise ValueError(f"{type(self).__name__} is infinite; enumeration needs a limit")
+        for n in range(self.first_index, limit + 1):
+            yield from self.index_members(n)
 
     def member_count(self, limit: int) -> int:
         """How many points `members(limit)` yields; a finite kind keeps them in `points`."""
         return len(self.points)
+
+    def index_members(self, n: int) -> tuple[Point, ...]:
+        """The points of member index n; none for a finite kind, which is read whole."""
+        return ()
 
     def contains(self, x: Point) -> bool:
         raise NotImplementedError
@@ -88,6 +99,10 @@ class SplittingFamily:
         kind reads only its parameters, never a closed-form query, with exact
         integer arithmetic on x's integer form (D, nums).
         """
+        return 0
+
+    def members_needed_floor(self, x: IntegerForm, y: IntegerForm) -> int:
+        """A lower bound on `members_needed` at every x + (e, 0), 0 < e <= y0 - x0; zero here."""
         return 0
 
     def first_strictly_below(self, x: Point) -> Point | None:
@@ -164,12 +179,11 @@ class IntegerRow(SplittingFamily):
     slr_by_construction = True
     dimension = 2
 
-    def members(self, limit: int | None = None) -> Iterator[Point]:
-        if limit is None:
-            raise ValueError("IntegerRow is infinite; enumeration needs a limit")
+    first_index = 0
+
+    def index_members(self, n: int) -> tuple[Point, ...]:
         d, t = self.t0.denominator, self.t0.numerator
-        for n in range(limit + 1):
-            yield from_form(d, (t, n * d))
+        return (from_form(d, (t, n * d)),)
 
     def member_count(self, limit: int) -> int:
         return limit + 1
@@ -222,15 +236,12 @@ class HarmonicPair(SplittingFamily):
     slr_by_construction = True
     dimension = 2
 
-    def members(self, limit: int | None = None) -> Iterator[Point]:
-        if limit is None:
-            raise ValueError("HarmonicPair is infinite; enumeration needs a limit")
+    first_index = 1
+
+    def index_members(self, n: int) -> tuple[Point, ...]:
         # center +- (0, 1/n) over the denominator d * n, d the center's own
         d, (t, x) = self.center.form
-        for n in range(1, limit + 1):
-            dn, tn, xn = d * n, t * n, x * n
-            yield from_form(dn, (tn, xn + d))
-            yield from_form(dn, (tn, xn - d))
+        return from_form(d * n, (t * n, x * n + d)), from_form(d * n, (t * n, x * n - d))
 
     def member_count(self, limit: int) -> int:
         return 2 * limit
@@ -257,6 +268,18 @@ class HarmonicPair(SplittingFamily):
             return 0
         du = u * dc - c1 * d
         return max((-(-d * dc // v) for v in (dt + du, dt - du) if v > 0), default=0)
+
+    def members_needed_floor(self, x: IntegerForm, y: IntegerForm) -> int:
+        # With a = x0 - c0 >= 0 and b = x1 - c1, a term of `members_needed(y)`
+        # whose limit a +- b is >= 0 stays positive on (x, y] and only grows as
+        # y descends; the other terms, and all of them when a < 0, may vanish.
+        dx, (xt, xu, *_) = x
+        d, (t, u, *_) = y
+        dc, (c0, c1) = self.center.form
+        a, b = xt * dc - c0 * dx, xu * dc - c1 * dx       # scaled by Dx * Dc
+        dt, du = t * dc - c0 * d, u * dc - c1 * d
+        return max((-(-d * dc // v) for v, limit in ((dt + du, a + b), (dt - du, a - b))
+                    if a >= 0 and limit >= 0), default=0)
 
     def first_strictly_below(self, x: Point) -> Point | None:
         # center + sign * (0, 1/n) < x needs dt > 0 and |u - sign/n| <= dt,

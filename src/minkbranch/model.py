@@ -280,6 +280,7 @@ def validate_model(model: Model, truncate: int = TRIANGLE_TRUNCATION) -> Report:
                 triangle_failures.append(f"{triple} uncovered at {result.witness!r}")
             elif result.method != "exhaustive":
                 report.note(f"triangle {triple} holds on {result.method} only; bounded, not proved")
+                report.bounded = True
     detail = "; ".join(triangle_failures)
     if skipped and not triangle_failures:
         detail = f"{skipped} triple(s) skipped for missing families"

@@ -31,9 +31,11 @@ below x, one of index at most that bound does.
   still have overlap points above it, in a wedge thinner than the step.
   Each such candidate x is tested at y = x + (eps, 0), with eps an exact
   rational below x's gap to every member read.  While the bound at y
-  passes those members, x reads further ones, never past the cap, and cuts
-  eps again; y is a witness, and x no choice point, once it does not.  A
-  true choice point has no such y, so the test only removes false
+  passes those members, x cuts eps once with the members of the cap's own
+  index, then reads further ones, never past the cap, and cuts again; y is
+  a witness, and x no choice point, once it does not.  x has none once the
+  kind's `members_needed_floor` passes the cap, which no later cut undoes.
+  A true choice point has no such y, so the test only removes false
   candidates.
 
 Grid points within one light-cone step of the box top or of a spatial face
@@ -114,7 +116,10 @@ class _MemberForms:
     """A scan's member forms in index order: those up to index `reach`, then as asked."""
 
     def __init__(self, family: SplittingFamily, grid: GridSpec, reach: int):
-        self.family, self.dimension, self.reach = family, grid.dimension, reach
+        if family.dimension not in (None, grid.dimension):
+            raise DimensionMismatch(
+                f"family members do not have the grid's dimension {grid.dimension}")
+        self.family, self.reach, self.cap = family, reach, grid.truncate
         self._source = family.members(limit=grid.truncate)
         self.forms: list[IntegerForm] = []
         self.read(reach)
@@ -123,12 +128,13 @@ class _MemberForms:
         """Read the members of indices up to `index`; return how many forms they are."""
         count = self.family.member_count(index)
         if count > len(self.forms):
-            new = [m.form for m in islice(self._source, count - len(self.forms))]
-            if any(len(nums) != self.dimension for _, nums in new):
-                raise DimensionMismatch(
-                    f"family members do not have the grid's dimension {self.dimension}")
-            self.forms += new
+            self.forms += [m.form for m in islice(self._source, count - len(self.forms))]
         return count
+
+    @cached_property
+    def probe(self) -> list[IntegerForm]:
+        """The forms of the members of index `cap`, the last a scan may read."""
+        return [m.form for m in self.family.index_members(self.cap)]
 
 
 def _kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
@@ -234,9 +240,12 @@ def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -
     square), cuts eps below m's gap sqrt(S) - dt: to (S - dt**2) / ((isqrt(S) + 1 +
     dt) * Dm * Dx) when dt >= 0, and to -dt / (Dm * Dx) when dt < 0, which
     keeps y no later than m.  y is a witness once `members_needed` at y is
-    at most the index read; until then the index rises to that bound, never
-    past the cap, and the new members cut eps again.  A member, or a point
-    on the box top, leaves no room and no witness.
+    at most the index read.  Until then the members of index `cap` cut eps
+    once, and after that the index rises to the bound at y, never past the
+    cap, and the new members cut eps again.  Once `members_needed_floor`
+    passes the cap there is no witness, read to the cap or not: those cuts
+    leave eps no larger, and the floor bounds the bound below y.  A member,
+    or a point on the box top, leaves no room and no witness.
     """
     dx, xn = x
     top = grid.box[0][1]
@@ -244,10 +253,10 @@ def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -
     num, den = top.numerator * dx - xn[0] * top.denominator, top.denominator
     if num <= 0:
         return False
-    index, done = members.reach, 0
+    family, index, done, rounds = members.family, members.reach, 0, 0
     while True:
         count = members.read(index)
-        for m in members.forms[done:count]:
+        for m in members.forms[done:count] + (members.probe if rounds == 1 else []):
             dt, s = separation(m, x)
             if dt < 0:
                 cut, cut_den = -dt, m[0]
@@ -257,12 +266,15 @@ def _has_escape_witness(x: IntegerForm, members: _MemberForms, grid: GridSpec) -
                 if cut <= 0:
                     return False        # x is a member
                 num, den = cut, cut_den
-        done = count
+        done, rounds = count, rounds + 1
         y = (dx * den, (xn[0] * den + num,) + tuple(c * den for c in xn[1:]))
-        needed = members.family.members_needed(y)
+        needed = family.members_needed(y)
         if needed <= index or index == grid.truncate:
             return needed <= index
-        index = min(needed, grid.truncate)
+        if family.members_needed_floor(x, y) > grid.truncate:
+            return False
+        if rounds > 1:                  # the second round cuts with the probe alone
+            index = min(needed, grid.truncate)
 
 
 def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,

@@ -22,6 +22,8 @@ class Report:
     title: str
     results: list[CheckResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: Some passing check rests on a bounded enumeration; a PASS header says so.
+    bounded: bool = False
 
     def add(self, name: str, passed: bool, detail: str = "") -> CheckResult:
         result = CheckResult(name, bool(passed), detail)
@@ -39,7 +41,8 @@ class Report:
         return [r for r in self.results if not r.passed]
 
     def lines(self) -> list[str]:
-        out = [f"[{self.title}] {'PASS' if self.passed else 'FAIL'}"]
+        verdict = ("PASS (bounded)" if self.bounded else "PASS") if self.passed else "FAIL"
+        out = [f"[{self.title}] {verdict}"]
         out.extend("  " + r.line() for r in self.results)
         out.extend("  note: " + n for n in self.notes)
         return out

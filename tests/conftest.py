@@ -22,6 +22,12 @@ def build_random_battery(seeds=BATTERY_SEEDS):
     return models
 
 
+def random_rational(rng, lo, hi, max_den=12) -> Fraction:
+    """A seeded rational in [lo, hi] with a denominator from 1 to max_den."""
+    q = rng.randint(1, max_den)
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
 def reference_interval(x, y) -> Fraction:
     """The squared interval from the definition, on the Fraction coordinates."""
     dt = x.coords[0] - y.coords[0]

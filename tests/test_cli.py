@@ -55,7 +55,9 @@ def test_validate_failure_lists_witness(capsys, triangle_path):
 def test_validate_prints_bounded_triangle_notes(capsys, tmp_path, rows_under_harmonic_model):
     path = tmp_path / "rows.mbs"
     mb.dump(rows_under_harmonic_model, path)
-    _, out, _ = run(capsys, ["validate", "--model", str(path), "--truncate", "1"])
+    code, out, _ = run(capsys, ["validate", "--model", str(path), "--truncate", "1"])
+    assert code == 0
+    assert out.splitlines()[0] == "[validate] PASS (bounded)"
     assert out.splitlines()[-3:] == [
         f"  note: triangle {t} holds on members up to index 1 only; bounded, not proved"
         for t in ("('b','a','c')", "('a','b','c')", "('a','c','b')")]

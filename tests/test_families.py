@@ -17,7 +17,7 @@ from minkbranch.families import (
 from minkbranch.minkowski import leq, lt, point
 from minkbranch.model import Model
 
-from conftest import reference_contains, reference_first_strictly_below
+from conftest import random_rational, reference_contains, reference_first_strictly_below
 
 
 def brute_any_strictly_below(family, x, limit):
@@ -321,11 +321,6 @@ def test_row_members_match_points_built_from_coordinates():
         assert [m.form for m in members] == [p.form for p in expected]
 
 
-def _random_rational(rng, lo, hi, max_den=12):
-    q = rng.randint(1, max_den)
-    return F(rng.randint(lo * q, hi * q), q)
-
-
 @pytest.mark.parametrize("kind", ["integer_row", "harmonic_pair"])
 def test_members_needed_bounds_the_first_member_below(kind):
     # the oracle reads member indices only up to `members_needed`: if any
@@ -334,16 +329,16 @@ def test_members_needed_bounds_the_first_member_below(kind):
     prefix, below = 300, 0
     for _ in range(60):
         if kind == "integer_row":
-            family = IntegerRow(_random_rational(rng, -2, 2))
+            family = IntegerRow(random_rational(rng, -2, 2))
             base = (family.t0, F(0))
         else:
-            family = HarmonicPair(point(_random_rational(rng, -2, 2), _random_rational(rng, -2, 2)))
+            family = HarmonicPair(point(random_rational(rng, -2, 2), random_rational(rng, -2, 2)))
             base = family.center.coords
         long = list(family.members(limit=prefix))
         assert len(long) == family.member_count(prefix)
         for _ in range(25):
-            x = point(base[0] + _random_rational(rng, -1, 3, 8),
-                      base[1] + _random_rational(rng, -3, 12 if kind == "integer_row" else 3))
+            x = point(base[0] + random_rational(rng, -1, 3, 8),
+                      base[1] + random_rational(rng, -3, 12 if kind == "integer_row" else 3))
             needed = family.members_needed(x.form)
             assert 0 <= needed <= prefix, (family, x)
             bounded = long[:family.member_count(needed)]
@@ -367,6 +362,46 @@ def test_members_needed_is_not_a_bound_on_every_member_below():
     assert all(lt(m, x) for m in family.members(limit=50))
 
 
+def test_index_members_are_the_members_of_one_index():
+    row, pair = IntegerRow(F(-3, 4)), HarmonicPair(point(F(1, 6), F(-5, 4)))
+    assert list(row.members(limit=30)) == [m for n in range(31) for m in row.index_members(n)]
+    assert list(pair.members(limit=30)) == [m for n in range(1, 31) for m in pair.index_members(n)]
+    assert row.index_members(7) == (point(F(-3, 4), 7),)
+    assert pair.index_members(3) == (point(F(1, 6), F(-11, 12)), point(F(1, 6), F(-19, 12)))
+    for family in (FiniteFamily((point(0, 0),)), DifferenceRow(frozenset({1}), frozenset())):
+        assert family.index_members(0) == family.index_members(5) == ()
+
+
+def test_members_needed_floor_bounds_members_needed_below_y():
+    # the oracle gives up on an escape witness once the floor at (x, y)
+    # passes the cap, which is exact only if the floor is at most
+    # `members_needed` at every x + (e, 0) with 0 < e <= y0 - x0
+    rng = random.Random(31)
+    positive = 0
+    for _ in range(60):
+        family = HarmonicPair(point(random_rational(rng, -2, 2), random_rational(rng, -2, 2)))
+        c0, c1 = family.center.coords
+        for _ in range(12):
+            # on the center's time slice, above it, or below it; on either
+            # light-cone edge of the center, or anywhere beside it
+            a = rng.choice((F(0), random_rational(rng, 0, 2, 16), -random_rational(rng, 0, 2, 16)))
+            b = rng.choice((a, -a, random_rational(rng, -2, 2, 16)))
+            rise = random_rational(rng, 0, 2, 16) or F(1, 16)
+            x, y = point(c0 + a, c1 + b), point(c0 + a + rise, c1 + b)
+            floor = family.members_needed_floor(x.form, y.form)
+            positive += floor > 0
+            for e in (rise, rise / 1000, *(rise * F(rng.randint(1, 50), 50) for _ in range(6))):
+                below = point(c0 + a + e, c1 + b)
+                assert floor <= family.members_needed(below.form), (family, x, y, e)
+    assert positive >= 150
+    # at the center the floor is the bound at y itself
+    center = HarmonicPair(point(0, 0))
+    assert center.members_needed_floor(point(0, 0).form, point(F(1, 600), 0).form) == 600
+    for family in (IntegerRow(0), FiniteFamily((point(0, 0),)),
+                   DifferenceRow(frozenset({1}), frozenset())):
+        assert family.members_needed_floor(point(0, 0).form, point(1, 0).form) == 0
+
+
 def _planar_probes(rng, family):
     """Points that stress a planar kind's closed forms, each with its probe type.
 
@@ -383,14 +418,14 @@ def _planar_probes(rng, family):
     for m in rng.sample(members, min(4, len(members))):
         yield "member", m
     for _ in range(4):
-        yield "slice", point(t0, x0 + _random_rational(rng, -4, 8, 16))
+        yield "slice", point(t0, x0 + random_rational(rng, -4, 8, 16))
     for m in rng.sample(members, min(3, len(members))):
-        d = _random_rational(rng, 0, 3, 16) or F(1, 16)
+        d = random_rational(rng, 0, 3, 16) or F(1, 16)
         side = rng.choice((1, -1))
         for nudge in (0, F(1, 97), F(-1, 97)):
             yield "lightlike", point(m.coords[0] + d + nudge, m.coords[1] + side * d)
     for _ in range(4):
-        dt, du = _random_rational(rng, -1, 3, 16), _random_rational(rng, 0, 3, 16)
+        dt, du = random_rational(rng, -1, 3, 16), random_rational(rng, 0, 3, 16)
         yield "offset", point(t0 + dt, x0 - du)
         yield "offset", point(t0 + dt, x0 + du)
 
@@ -403,10 +438,10 @@ def test_planar_closed_forms_match_fraction_references():
     for _ in range(150):
         kind = rng.randrange(3)
         if kind == 0:
-            family = IntegerRow(_random_rational(rng, -2, 2, 16))
+            family = IntegerRow(random_rational(rng, -2, 2, 16))
         elif kind == 1:
-            family = HarmonicPair(point(_random_rational(rng, -2, 2, 16),
-                                        _random_rational(rng, -2, 2, 16)))
+            family = HarmonicPair(point(random_rational(rng, -2, 2, 16),
+                                        random_rational(rng, -2, 2, 16)))
         else:
             family = DifferenceRow(frozenset(rng.sample(range(8), rng.randint(0, 5))),
                                    frozenset(rng.sample(range(8), rng.randint(0, 5))))

@@ -211,6 +211,8 @@ BOUNDED_NOTES = [f"triangle {t} holds on members up to index 1 only; bounded, no
 def test_validate_notes_each_triangle_verdict_bounded_by_truncation(rows_under_harmonic_model):
     report = validate_model(rows_under_harmonic_model, truncate=1)
     assert report.notes == BOUNDED_NOTES
+    # a pass that rests on a bounded triple never reads as a plain PASS
+    assert report.passed and report.lines()[0] == "[validate] PASS (bounded)"
     # at the default the (a, c) triple fails on a witness, which no bound qualifies
     report = validate_model(rows_under_harmonic_model)
     assert not check_names(report)["triangle"]
@@ -220,7 +222,9 @@ def test_validate_notes_each_triangle_verdict_bounded_by_truncation(rows_under_h
 
 def test_validate_adds_no_note_on_finite_triples(triangle_violation_model, random_battery):
     for m in [triangle_violation_model] + random_battery:
-        assert validate_model(m, truncate=1).notes == []
+        report = validate_model(m, truncate=1)
+        assert report.notes == [] and not report.bounded
+        assert report.lines()[0] == f"[validate] {'PASS' if report.passed else 'FAIL'}"
 
 
 def test_infinite_families_validate_with_truncation(harmonic_model, integer_row_model):

@@ -15,6 +15,7 @@ from minkbranch.oracle import GridSpec, oracle_choice_points, oracle_cross_check
 from conftest import (
     boundary_flagged,
     build_random_battery,
+    random_rational,
     reference_escape_witness,
     reference_oracle_candidates,
     reference_oracle_maximal,
@@ -303,18 +304,60 @@ def test_lazy_witness_reads_past_the_grid_bound():
     assert x not in oracle_choice_points(model, "a", "b", grid).candidates
 
 
-def test_lazy_witness_of_a_true_choice_point_reads_to_the_cap(harmonic_model):
+def test_lazy_witness_of_a_true_choice_point_stops_before_the_cap(harmonic_model):
     # each member n cuts eps above the center to 1/(2n), where members up to
-    # index 2n could lie below: the witness doubles its reach up to the cap
+    # index 2n could lie below; the members of index 300, the cap, cut it to
+    # 1/600, and below that y the bound stays at 600 or more: no witness
     family = harmonic_model.family("u", "v")
     grid = GridSpec(((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2))), F(1, 8), truncate=300)
     scan = oracle_overlap(harmonic_model, "u", "v", grid)
     assert (scan.members.reach, len(scan.members.forms)) == (8, 16)
     center = point(0, 0)
     assert not oracle._has_escape_witness(center.form, scan.members, grid)
-    assert len(scan.members.forms) == 600
     assert not reference_escape_witness(center.form, list(family.members(limit=300)),
                                         family, grid)
+    assert scan.members.probe == [m.form for m in family.index_members(300)]
+    assert len(scan.members.forms) + len(scan.members.probe) <= 4 * 8 + 2
+
+
+def test_escape_witness_probes_the_cap_once_and_only_when_undecided(monkeypatch):
+    cuts, probes = [], []
+    separation, index_members = oracle.separation, HarmonicPair.index_members
+
+    def counting_separation(m, x):
+        cuts.append(m)
+        return separation(m, x)
+
+    def counting_index_members(self, n):
+        probes.append(n)
+        return index_members(self, n)
+
+    monkeypatch.setattr(oracle, "separation", counting_separation)
+    monkeypatch.setattr(HarmonicPair, "index_members", counting_index_members)
+    half = (F(-1, 2), F(1, 2))
+    # above (0, -1) the first round reads nothing and decides nothing; the
+    # probe cuts nothing, and index 1 then gives the witness (see above)
+    family = HarmonicPair(point(0, F(1, 3)))
+    grid = GridSpec(((-1, F(9, 10)), (-1, F(7, 8))), F(1))
+    scan = oracle_overlap(mb.Model(2, ("a", "b"), {("a", "b"): family}), "a", "b", grid)
+    cuts.clear()
+    assert oracle._has_escape_witness(point(0, -1).form, scan.members, grid)
+    assert cuts == scan.members.probe + scan.members.forms[:2]
+    # above the center: the grid's reach, then the probe; a second call cuts
+    # with the same forms and builds no second probe
+    family = HarmonicPair(point(0, 0))
+    grid = GridSpec((half, half), F(1, 8), truncate=300)
+    scan = oracle_overlap(mb.Model(2, ("u", "v"), {("u", "v"): family}), "u", "v", grid)
+    for _ in range(2):
+        cuts.clear()
+        assert not oracle._has_escape_witness(point(0, 0).form, scan.members, grid)
+        assert cuts == scan.members.forms + scan.members.probe
+    assert probes.count(300) == 1
+    # beside the center the first round decides every maximal point, and none reads the probe
+    probes.clear()
+    grid = GridSpec(((F(-1, 2), F(1, 2)), (F(1, 8), F(1, 2))), F(1, 8), truncate=300)
+    choice = oracle_choice_points(mb.Model(2, ("u", "v"), {("u", "v"): family}), "u", "v", grid)
+    assert choice.candidates and 300 not in probes
 
 
 def test_large_truncation_reads_only_the_members_points_need(monkeypatch, harmonic_model):
@@ -329,21 +372,77 @@ def test_large_truncation_reads_only_the_members_points_need(monkeypatch, harmon
     monkeypatch.setattr(HarmonicPair, "members", counting)
     box = ((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2)))
     expected = oracle_choice_points(harmonic_model, "u", "v", GridSpec(box, F(1, 8)))
-    grid = GridSpec(box, F(1, 8), truncate=1_000_000)
+    assert point(0, 0) in expected.candidates
     yielded.clear()
-    scan = oracle_overlap(harmonic_model, "u", "v", grid)
-    assert len(yielded) == 16                   # indices up to 8, the grid's bound
-    assert scan.kept == expected.overlap.kept
-    # the center, a true choice point, reads to the cap (test above); every
-    # other maximal point is decided from the members the grid needs
-    center = point(0, 0)
-    tops = oracle._maximal(scan.grid_points, scan.kept, grid)
-    candidates = [x for x, top in zip(scan.grid_points, tops)
-                  if top and x != center
-                  and not oracle._has_escape_witness(x.form, scan.members, grid)]
-    assert candidates == [x for x in expected.candidates if x != center]
-    assert center in expected.candidates
-    assert len(yielded) == 16
+    # the center, a true choice point, stops on the probe of the cap (test above)
+    grid = GridSpec(box, F(1, 8), truncate=1_000_000)
+    scan = oracle_choice_points(harmonic_model, "u", "v", grid)
+    assert len(yielded) <= 4 * 8                # indices 8, the grid's bound, and its double
+    assert scan.overlap.kept == expected.overlap.kept
+    assert scan.candidates == expected.candidates
+
+
+# ---------------------------------------------------------------------------
+# The escape witness against the eager reference
+# ---------------------------------------------------------------------------
+
+
+def _witness_configurations(rng, count):
+    """Seeded (family, grid box, step) triples: harmonic pairs centred on and
+    off the lattice, integer rows, and finite families, near the box."""
+    def rational(lo, hi):
+        return random_rational(rng, lo, hi, 8)
+
+    for i in range(count):
+        step = F(rng.randint(1, 4), rng.randint(1, 12))
+        lows = (rational(-2, 1), rational(-2, 1))
+        box = tuple((lo, lo + rational(0, 3)) for lo in lows)
+        kind = i % 4
+        if kind == 0:
+            family = HarmonicPair(point(rational(-2, 1), rational(-2, 1)))
+        elif kind == 1:
+            family = HarmonicPair(point(*(lo + step * rng.randint(0, 4) for lo in lows)))
+        elif kind == 2:
+            family = IntegerRow(rational(-2, 1))
+        else:
+            family = FiniteFamily(tuple({point(rational(-2, 1), rational(-2, 2))
+                                         for _ in range(rng.randint(1, 4))}))
+        yield family, box, step
+
+
+@pytest.mark.parametrize("truncate", [1, 2, 3, 5, 7, 20, 300])
+def test_escape_witness_agrees_with_the_eager_reference(truncate):
+    # the lazy witness stops early on the floor of `members_needed`; over
+    # every kept grid point it must say what the witness cut by every
+    # member up to the cap says; small caps are where an unsound stop shows
+    rng = random.Random(20070611 + truncate)
+    seen = {True: 0, False: 0}
+    centers = 0
+    for family, box, step in _witness_configurations(rng, 120):
+        grid = GridSpec(box, step, truncate=truncate)
+        scan = oracle_overlap(mb.Model(2, ("a", "b"), {("a", "b"): family}), "a", "b", grid)
+        members = list(family.members(limit=truncate))
+        for x, keep in zip(scan.grid_points, scan.kept):
+            if keep:
+                witness = oracle._has_escape_witness(x.form, scan.members, grid)
+                assert witness == reference_escape_witness(x.form, members, family, grid), \
+                    (family, box, step, x)
+                seen[witness] += 1
+                centers += x in family.accumulation_points()
+    assert min(seen.values()) >= 100 and centers >= 10, (seen, centers)
+
+
+def test_escape_witness_exists_where_the_bound_passes_a_cap_of_one():
+    # no member is read first, and the bound at the box top is 4, past the
+    # cap of 1; giving up there would be wrong: the members of index 1 cut
+    # eps down to the center's time, where the bound is 0, so y is a witness
+    family = HarmonicPair(point(F(-4, 3), 0))
+    grid = GridSpec(((-2, -1), (F(-13, 7), F(1, 7))), F(3, 5), truncate=1)
+    scan = oracle_overlap(mb.Model(2, ("a", "b"), {("a", "b"): family}), "a", "b", grid)
+    x = point(F(-7, 5), F(-2, 35))
+    assert x in scan.points
+    assert reference_escape_witness(x.form, list(family.members(limit=1)), family, grid)
+    assert oracle._has_escape_witness(x.form, scan.members, grid)
 
 
 @pytest.mark.parametrize("box, step", [
@@ -384,7 +483,7 @@ def _assert_scans_match_reference(model, grid):
             assert scan.candidates == reference_oracle_candidates(model, a, b, grid, maximal), where
 
 
-def test_staircase_scans_match_linear_scans_on_demo_models():
+def test_column_scans_match_linear_scans_on_demo_models():
     half = (F(-1, 2), F(1, 2))
     boxes = [(half, half), ((F(-2, 3), F(1, 2)), (F(-1, 2), F(5, 8)))]
     for name in ("harmonic", "integer_row", "two_scenarios", "triangle_violation"):
@@ -394,7 +493,7 @@ def test_staircase_scans_match_linear_scans_on_demo_models():
                 _assert_scans_match_reference(model, GridSpec(box, step, truncate=200))
 
 
-def test_staircase_scans_match_linear_scans_on_random_models():
+def test_column_scans_match_linear_scans_on_random_models():
     rng = random.Random(17)
     for _ in range(12):
         model = mb.random_model(rng)
@@ -402,25 +501,25 @@ def test_staircase_scans_match_linear_scans_on_random_models():
             _assert_scans_match_reference(model, GridSpec(((-2, 2), (F(-5, 2), 2)), step))
 
 
-def test_staircase_scans_match_linear_scans_on_mutants():
+def test_column_scans_match_linear_scans_on_mutants():
     for family in (HarmonicSkippingLargest(point(0, 0)), IntegerRowDroppingLightlike(0),
                    FiniteSkippingFirst((point(0, -1), point(0, 1)))):
         model = mb.Model(2, ("a", "b"), {("a", "b"): family})
         _assert_scans_match_reference(model, GridSpec(((-2, 2), (-2, 2)), F(1, 4)))
 
 
-def test_staircase_scans_match_linear_scans_on_awkward_members():
-    # members on grid points, causally related members, and members below,
-    # above and beside the box; the scans take any member set
+def test_column_scans_match_linear_scans_on_awkward_members():
+    # members on grid points, causally related members, and members below
+    # (one past a corner), above and beside the box; the scans take any member set
     model = mb.Model(2, ("a", "b"), {("a", "b"): FiniteFamily((
         point(0, 0), point(F(1, 2), F(1, 4)), point(F(1, 2), F(1, 2)),
         point(F(1, 3), F(-1, 5)), point(F(-1, 4), F(-3, 4)), point(F(3, 4), F(-1, 4)),
-        point(-5, 0), point(-3, F(7, 3)), point(5, 0), point(F(1, 2), 7), point(0, -4),
+        point(-2, F(-12, 5)), point(-3, F(7, 3)), point(5, 0), point(F(1, 2), 7), point(0, -4),
         point(F(-7, 8), F(17, 8)),
     ))})
     for box in (((-1, 1), (-1, 1)), ((F(-1, 3), F(5, 4)), (F(-7, 5), F(1, 2)))):
         for step in (F(1, 4), F(1, 3), F(1, 8), F(2, 7)):
-            _assert_scans_match_reference(model, GridSpec(box, step))
+            assert _assert_scans_match_reference_somewhere(model, GridSpec(box, step)), (box, step)
 
 
 def _assert_scans_match_reference_somewhere(model, grid):
