@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import modelfile
 from .errors import MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario
 from .minkowski import Point, format_rational, rational
-from .model import Model, validate_model
+from .model import TRIANGLE_TRUNCATION, Model, validate_model
 
 
 class UsageError(Exception):
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="structural validation of a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--truncate", type=_positive_int, default=200,
+    p.add_argument("--truncate", type=_positive_int, default=TRIANGLE_TRUNCATION,
                    help="member enumeration depth for infinite families")
     p.set_defaults(func=_cmd_validate)
 

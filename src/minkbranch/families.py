@@ -57,7 +57,8 @@ class SplittingFamily:
     `first_strictly_below`; the other cone queries are derived here, once.
     A finite kind writes `members`.  An infinite kind writes `first_index`
     and `index_members`, from which `members` yields, `members_needed` and,
-    where that bound can grow as a point descends, `members_needed_floor`.
+    where that bound can grow as a point descends, `members_needed_floor`;
+    a reader may take a prefix through `members`, then one `index_members` at a time.
     """
 
     is_finite: bool
@@ -75,10 +76,6 @@ class SplittingFamily:
             raise ValueError(f"{type(self).__name__} is infinite; enumeration needs a limit")
         for n in range(self.first_index, limit + 1):
             yield from self.index_members(n)
-
-    def member_count(self, limit: int) -> int:
-        """How many points `members(limit)` yields; a finite kind keeps them in `points`."""
-        return len(self.points)
 
     def index_members(self, n: int) -> tuple[Point, ...]:
         """The points of member index n; none for a finite kind, which is read whole."""
@@ -185,9 +182,6 @@ class IntegerRow(SplittingFamily):
         d, t = self.t0.denominator, self.t0.numerator
         return (from_form(d, (t, n * d)),)
 
-    def member_count(self, limit: int) -> int:
-        return limit + 1
-
     def contains(self, x: Point) -> bool:
         # x0 = t0 and x1 a natural number
         d, nums = x.form
@@ -242,9 +236,6 @@ class HarmonicPair(SplittingFamily):
         # center +- (0, 1/n) over the denominator d * n, d the center's own
         d, (t, x) = self.center.form
         return from_form(d * n, (t * n, x * n + d)), from_form(d * n, (t * n, x * n - d))
-
-    def member_count(self, limit: int) -> int:
-        return 2 * limit
 
     def contains(self, x: Point) -> bool:
         # x0 = c0 and |x1 - c1| = 1/n: du = |x1 - c1| * D * Dc divides D * Dc

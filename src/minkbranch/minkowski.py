@@ -215,7 +215,7 @@ def lift_above(a: Point, b: Point) -> Point:
 
 def common_upper_bound(x: Point, y: Point) -> Point:
     """A point causally above both x and y (not a least upper bound)."""
-    return lift_above(lift_above(x, x), y)
+    return lift_above(x, y)
 
 
 def between(x: Point, y: Point) -> Point:

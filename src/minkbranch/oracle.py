@@ -45,10 +45,10 @@ are excluded from agreement obligations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, groupby, islice, product
+from itertools import combinations, compress, groupby, product
 from math import isqrt, prod
 from typing import Sequence
 
@@ -65,10 +65,6 @@ from .reporting import Report
 GRID_BUDGET = 10_000_000
 
 
-def _axis_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
-    return int((hi - lo) / step) + 1
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """A rational box lattice: per-axis (lo, hi) bounds, a step, a member cap."""
@@ -76,6 +72,8 @@ class GridSpec:
     box: tuple[tuple[Fraction, Fraction], ...]
     step: Fraction
     truncate: int = 1000
+    #: The box's integer lattice, from `minkowski.lattice`, computed once.
+    _lattice: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         box = tuple((rational(lo), rational(hi)) for lo, hi in self.box)
@@ -91,45 +89,44 @@ class GridSpec:
             raise ValueError("truncation must be at least 1")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "step", step)
-        total = 1
-        for lo, hi in box:
-            total *= _axis_count(lo, hi, step)
-            if total > GRID_BUDGET:
-                raise GridBudgetExceeded(
-                    f"grid would exceed {GRID_BUDGET} points; shrink the box or coarsen the step")
+        object.__setattr__(self, "_lattice", lattice(box, step))
+        if prod(self._lattice[3]) > GRID_BUDGET:
+            raise GridBudgetExceeded(
+                f"grid would exceed {GRID_BUDGET} points; shrink the box or coarsen the step")
 
     @property
     def dimension(self) -> int:
         return len(self.box)
 
     def axis_values(self, axis: int) -> list[Fraction]:
-        lo, hi = self.box[axis]
-        return [lo + self.step * k for k in range(_axis_count(lo, hi, self.step))]
+        lo = self.box[axis][0]
+        return [lo + self.step * k for k in range(self._lattice[3][axis])]
 
     def points(self) -> list[Point]:
-        d, step, lows, counts = lattice(self.box, self.step)
+        d, step, lows, counts = self._lattice
         return [from_form(d, nums)
                 for nums in product(*(range(lo, lo + step * n, step) for lo, n in zip(lows, counts)))]
 
 
 class _MemberForms:
-    """A scan's member forms in index order: those up to index `reach`, then as asked."""
+    """A scan's member forms in index order: those up to index `reach`, through
+    `members()`, then each later index as asked, through `index_members`."""
 
     def __init__(self, family: SplittingFamily, grid: GridSpec, reach: int):
         if family.dimension not in (None, grid.dimension):
             raise DimensionMismatch(
                 f"family members do not have the grid's dimension {grid.dimension}")
         self.family, self.reach, self.cap = family, reach, grid.truncate
-        self._source = family.members(limit=grid.truncate)
-        self.forms: list[IntegerForm] = []
-        self.read(reach)
+        self.forms: list[IntegerForm] = [m.form for m in family.members(limit=reach)]
+        # the form count up to each index read; `read` asks for none below `reach`
+        self._counts = [len(self.forms)]
 
     def read(self, index: int) -> int:
-        """Read the members of indices up to `index`; return how many forms they are."""
-        count = self.family.member_count(index)
-        if count > len(self.forms):
-            self.forms += [m.form for m in islice(self._source, count - len(self.forms))]
-        return count
+        """Read the members of indices up to `index` >= `reach`; return how many forms they are."""
+        for n in range(self.reach + len(self._counts), index + 1):
+            self.forms += [m.form for m in self.family.index_members(n)]
+            self._counts.append(len(self.forms))
+        return self._counts[index - self.reach]
 
     @cached_property
     def probe(self) -> list[IntegerForm]:
@@ -139,7 +136,7 @@ class _MemberForms:
 
 def _kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
     """Per grid point, in `grid.points()` order: is no member strictly below it?"""
-    d, step, (t_lo, *lows), (rows, *counts) = lattice(grid.box, grid.step)
+    d, step, (t_lo, *lows), (rows, *counts) = grid._lattice
     heights = [rows] * prod(counts)
     for dm, (m0, *mn) in forms:
         # Over the denominator d * dm: the squared spatial distance s from the
@@ -185,7 +182,7 @@ def _flags(grid: GridSpec) -> tuple[bool, ...]:
     """Per grid point, in `grid.points()` order: within one light-cone step of
     the box top or of a spatial face?"""
     # lo + k * step, for k < n, is within one step of hi exactly when k = n - 1
-    counts = lattice(grid.box, grid.step)[3]
+    counts = grid._lattice[3]
     last = counts[0] - 1
     return tuple(idx[0] == last or any(k == 0 or k == n - 1 for k, n in zip(idx[1:], counts[1:]))
                  for idx in product(*map(range, counts)))
@@ -204,7 +201,7 @@ class ChoiceScan:
         return frozenset(compress(self.overlap.grid_points, self.is_flagged))
 
 
-def _maximal(points: Sequence[Point], kept: Sequence[bool], grid: GridSpec) -> list[bool]:
+def _maximal(kept: Sequence[bool], grid: GridSpec) -> list[bool]:
     """Per grid point, in `grid.points()` order: kept, and below no other kept point?
 
     `kept` is a time prefix on each column, so its count there is the
@@ -212,7 +209,7 @@ def _maximal(points: Sequence[Point], kept: Sequence[bool], grid: GridSpec) -> l
     above a top lies on or below its own column's top, so a top is maximal
     unless another top lies strictly above it: di > 0 and di**2 >= |dc|**2.
     """
-    rows, *counts = lattice(grid.box, grid.step)[3]
+    rows, *counts = grid._lattice[3]
     columns = list(product(*map(range, counts)))
     width = len(columns)
     heights = [sum(kept[c::width]) for c in range(width)]
@@ -283,7 +280,7 @@ def oracle_choice_points(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     scan = oracle_overlap(model, a, b, grid)
     points = scan.grid_points
     is_candidate = tuple(top and not _has_escape_witness(x.form, scan.members, grid)
-                         for x, top in zip(points, _maximal(points, scan.kept, grid)))
+                         for x, top in zip(points, _maximal(scan.kept, grid)))
     return ChoiceScan(tuple(compress(points, is_candidate)), scan, is_candidate, _flags(grid))
 
 

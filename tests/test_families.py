@@ -335,14 +335,14 @@ def test_members_needed_bounds_the_first_member_below(kind):
             family = HarmonicPair(point(random_rational(rng, -2, 2), random_rational(rng, -2, 2)))
             base = family.center.coords
         long = list(family.members(limit=prefix))
-        assert len(long) == family.member_count(prefix)
+        assert len(long) == (prefix + 1 if kind == "integer_row" else 2 * prefix)
         for _ in range(25):
             x = point(base[0] + random_rational(rng, -1, 3, 8),
                       base[1] + random_rational(rng, -3, 12 if kind == "integer_row" else 3))
             needed = family.members_needed(x.form)
             assert 0 <= needed <= prefix, (family, x)
-            bounded = long[:family.member_count(needed)]
-            assert bounded == list(family.members(limit=needed))
+            bounded = list(family.members(limit=needed))
+            assert long[:len(bounded)] == bounded
             if any(lt(m, x) for m in long):
                 below += 1
                 assert any(lt(m, x) for m in bounded), (family, x)

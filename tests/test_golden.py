@@ -2,8 +2,8 @@
 
 Each case's expected output is `tests/golden/<case>.txt`: a first line
 `exit <code>`, then the exact stdout.  Files a call writes (the plot's CSV
-and SVG) follow under a `--- <name>` line each.  After an intended output
-change, regenerate the files with
+and SVG, the oracle's scan CSV) follow under a `--- <name>` line each.
+After an intended output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -59,8 +59,18 @@ CLI_CASES = {
                         "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/4"],
 }
 
-PLOT_ARGS = ["plot", "--model", _model("harmonic"), "--pair", "u,v",
-             "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/8", "--truncate", "16"]
+# Calls that write files: the argv without the output options, and per
+# option the name its file is recorded under.
+FILE_CASES = {
+    "plot": (["plot", "--model", _model("harmonic"), "--pair", "u,v",
+              "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/8", "--truncate", "16"],
+             [("--svg", "region.svg"), ("--csv", "region.csv")]),
+    **{f"oracle_csv_{name}{suffix}": (
+        ["oracle", "--model", _model(name), "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/8",
+         *truncate], [("--csv", "scan.csv")])
+       for name in ("harmonic", "integer_row")
+       for suffix, truncate in (("", []), ("_truncate_7", ["--truncate", "7"]))},
+}
 
 
 def _record(code: int, stdout: str, files=()) -> str:
@@ -86,24 +96,24 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _run_plot() -> str:
+def _run_writing(argv: list[str], outputs: list[tuple[str, str]]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        svg, csv = Path(tmp) / "region.svg", Path(tmp) / "region.csv"
-        code, stdout = _run_cli(PLOT_ARGS + ["--svg", str(svg), "--csv", str(csv)])
+        paths = [(option, Path(tmp) / name) for option, name in outputs]
+        code, stdout = _run_cli(argv + [arg for option, path in paths
+                                        for arg in (option, str(path))])
         stdout = stdout.replace(tmp, "<tmp>")
-        return _record(code, stdout, [("region.csv", csv.read_text()),
-                                      ("region.svg", svg.read_text())])
+        return _record(code, stdout, sorted((path.name, path.read_text()) for _, path in paths))
 
 
 def produce(case: str) -> str:
     if case.startswith("demo_"):
         return _run_demo(case[len("demo_"):])
-    if case == "plot":
-        return _run_plot()
+    if case in FILE_CASES:
+        return _run_writing(*FILE_CASES[case])
     return _record(*_run_cli(CLI_CASES[case]))
 
 
-CASES = [f"demo_{name}" for name in DEMOS] + list(CLI_CASES) + ["plot"]
+CASES = [f"demo_{name}" for name in DEMOS] + list(CLI_CASES) + list(FILE_CASES)
 
 
 @pytest.mark.parametrize("case", CASES)

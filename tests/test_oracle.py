@@ -1,6 +1,8 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import product
+from math import floor, prod
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,33 @@ def test_grid_spec_validation():
         GridSpec(((-1, 1), (-1, 1)), F(0))
     with pytest.raises(GridBudgetExceeded):
         GridSpec(((-1000, 1000), (-1000, 1000)), F(1, 100))
+
+
+def _reference_axis(lo, hi, step):
+    return [lo + i * step for i in range(floor((hi - lo) / step) + 1)]
+
+
+@pytest.mark.parametrize("box, step", [
+    (((F(-1), F(1)), (F(-1), F(1))), F(2, 7)),                       # the step divides no side
+    (((F(-2, 3), F(5, 4)), (F(-7, 5), F(-1, 9))), F(1, 6)),          # lows of other denominators
+    (((F(-3, 8), F(1, 2)), (F(-5, 6), F(2, 3)), (F(-1, 7), F(3, 5))), F(3, 10)),   # 3-D
+    (((F(0), F(0)), (F(-1, 3), F(-1, 3))), F(5)),                    # one point
+])
+def test_stored_lattice_matches_a_reference_enumeration(box, step):
+    grid = GridSpec(box, step)
+    axes = [_reference_axis(lo, hi, step) for lo, hi in box]
+    assert [grid.axis_values(k) for k in range(len(box))] == axes
+    assert grid.points() == [Point(c) for c in product(*axes)]
+    assert len(grid.points()) == prod(map(len, axes))
+
+
+def test_grid_budget_boundary():
+    # built, not enumerated: the rows of a budget-sized grid are never listed
+    rows, columns = oracle.GRID_BUDGET // 1000, 1000
+    assert rows * columns == oracle.GRID_BUDGET
+    GridSpec(((0, rows - 1), (0, columns - 1)), F(1))
+    with pytest.raises(GridBudgetExceeded):
+        GridSpec(((0, rows), (0, columns - 1)), F(1))
 
 
 def test_oracle_overlap_frozen_scan(two_scenario_model):
@@ -360,24 +389,63 @@ def test_escape_witness_probes_the_cap_once_and_only_when_undecided(monkeypatch)
     assert choice.candidates and 300 not in probes
 
 
+def test_a_walk_past_reach_leaves_later_candidates_the_forms_up_to_reach(monkeypatch):
+    cuts = []
+    separation = oracle.separation
+
+    def counting_separation(m, x):
+        cuts.append(m)
+        return separation(m, x)
+
+    monkeypatch.setattr(oracle, "separation", counting_separation)
+    family = HarmonicPair(point(F(-1, 2), F(-4, 7)))
+    grid = GridSpec(((F(-1, 2), F(1, 2)), (F(-1, 4), F(1, 2))), F(2, 3), truncate=300)
+    scan = oracle_overlap(mb.Model(2, ("a", "b"), {("a", "b"): family}), "a", "b", grid)
+    members, reach = scan.members, scan.members.reach
+    prefix = [m.form for m in family.members(limit=reach)]
+    assert reach == 3 and members.forms == prefix
+    # both grid points on the center's time slice are maximal; the walk from
+    # the one nearer the center reads past the reach, the other's stops there
+    walker, decided = point(F(-1, 2), F(-1, 4)), point(F(-1, 2), F(5, 12))
+    assert [x for x, top in zip(scan.grid_points, oracle._maximal(scan.kept, grid))
+            if top] == [walker, decided]
+    full = list(family.members(limit=grid.truncate))
+    for x in (walker, decided):
+        assert reference_escape_witness(x.form, full, family, grid)
+        cuts.clear()
+        assert oracle._has_escape_witness(x.form, members, grid)
+    assert len(members.forms) > len(prefix)
+    assert cuts == prefix
+
+
 def test_large_truncation_reads_only_the_members_points_need(monkeypatch, harmonic_model):
-    yielded = []
-    members = HarmonicPair.members
+    yielded, built = [], []
+    members, index_members = HarmonicPair.members, HarmonicPair.index_members
 
     def counting(self, limit=None):
         for m in members(self, limit):
             yielded.append(m)
             yield m
 
+    def counting_index_members(self, n):
+        points = index_members(self, n)
+        built.extend(points)
+        return points
+
     monkeypatch.setattr(HarmonicPair, "members", counting)
+    monkeypatch.setattr(HarmonicPair, "index_members", counting_index_members)
     box = ((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2)))
     expected = oracle_choice_points(harmonic_model, "u", "v", GridSpec(box, F(1, 8)))
     assert point(0, 0) in expected.candidates
     yielded.clear()
+    built.clear()
     # the center, a true choice point, stops on the probe of the cap (test above)
     grid = GridSpec(box, F(1, 8), truncate=1_000_000)
     scan = oracle_choice_points(harmonic_model, "u", "v", grid)
     assert len(yielded) <= 4 * 8                # indices 8, the grid's bound, and its double
+    # `members()` reads through `index_members`, so this is every member point
+    # built, through either, the probe's two included
+    assert len(built) <= 4 * 8 + 2
     assert scan.overlap.kept == expected.overlap.kept
     assert scan.candidates == expected.candidates
 
@@ -478,7 +546,7 @@ def _assert_scans_match_reference(model, grid):
             # the dominance sweep on its own: escape witnesses hide some of its errors
             maximal = reference_oracle_maximal(kept)
             points = grid.points()
-            tops = oracle._maximal(points, [x in kept for x in points], grid)
+            tops = oracle._maximal([x in kept for x in points], grid)
             assert [x for x, top in zip(points, tops) if top] == maximal, where
             assert scan.candidates == reference_oracle_candidates(model, a, b, grid, maximal), where
 
@@ -594,5 +662,5 @@ def test_scans_make_no_pairwise_order_test(monkeypatch, harmonic_model):
     for model, a, b, grid in cases:
         scan = oracle_overlap(model, a, b, grid)
         assert any(scan.kept) and not all(scan.kept)
-        assert any(oracle._maximal(scan.grid_points, scan.kept, grid))
+        assert any(oracle._maximal(scan.kept, grid))
         assert calls == [], grid.dimension
