@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 all executed checks passed (queries count as data, not
-checks), 1 at least one check failed (witnesses are printed), 2 parse or
-usage errors (with the document location for model files).
+checks), 1 at least one check failed (witnesses are printed) or stdout was
+closed early, 2 parse or usage errors (with the document location for
+model files).
 
 Each subcommand imports the modules it runs, so a call loads only those.
 """
@@ -10,6 +11,7 @@ Each subcommand imports the modules it runs, so a call loads only those.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -78,11 +80,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_point(text: str, model: Model) -> Point:
+def _decode(text: str, what: str):
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad point JSON {text!r}: {exc}")
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise UsageError(f"bad {what} JSON {text!r}: {exc}")
+
+
+def _parse_point(raw, model: Model) -> Point:
+    """The point a decoded JSON argument spells."""
     if not isinstance(raw, list):
         raise UsageError('points are JSON arrays of rationals, e.g. \'["1/2","0/1"]\'')
     if len(raw) != model.dimension:
@@ -92,16 +98,13 @@ def _parse_point(text: str, model: Model) -> Point:
 
 def _parse_labeled(text: str, model: Model):
     from .events import LabeledPoint
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad labeled-point JSON {text!r}: {exc}")
+    raw = _decode(text, "labeled-point")
     if not isinstance(raw, dict) or set(raw) != {"point", "scenario"}:
         raise UsageError(
             'labeled points are {"point": [...], "scenario": "label"} JSON objects')
     if not isinstance(raw["scenario"], str):
         raise UsageError(f"bad scenario {raw['scenario']!r}: labels are JSON strings")
-    point = _parse_point(json.dumps(raw["point"]), model)
+    point = _parse_point(raw["point"], model)
     return LabeledPoint(point, raw["scenario"])
 
 
@@ -154,7 +157,7 @@ def _cmd_query(args) -> int:
         print(_bool_word(events.glued(model, a, b)))
     elif args.what == "overlap":
         pair = _parse_pair(args.pair)
-        x = _parse_point(args.point, model)
+        x = _parse_point(_decode(args.point, "point"), model)
         print(_bool_word(model.in_overlap(pair[0], pair[1], x)))
     else:  # history
         a = _parse_labeled(args.a, model)
@@ -166,7 +169,7 @@ def _cmd_choice_points(args) -> int:
     from . import histories
     model = _load_model(args.model)
     a, b = _parse_pair(args.pair)
-    x = _parse_point(args.point, model)
+    x = _parse_point(_decode(args.point, "point"), model)
     generated = histories.is_generated_choice_point(model, a, b, x)
     choice = histories.is_choice_point(model, a, b, x)
     print(f"generated: {_bool_word(generated)}")
@@ -351,8 +354,8 @@ def _check_required(args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _check_required(args)
         return args.func(args)
     except ModelFormatError as exc:
@@ -363,6 +366,13 @@ def main(argv=None) -> int:
         # DimensionMismatch and GridBudgetExceeded are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  As the Python docs advise for
+        # SIGPIPE, point the descriptor at devnull so that the flush at exit
+        # does not raise again, and exit 1.
+        with contextlib.suppress(OSError, ValueError):   # a stream with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

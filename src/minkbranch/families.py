@@ -1,8 +1,10 @@
 """Splitting families: the sets of points at which two scenarios diverge.
 
 A splitting family is a pairwise space-like set of points.  Four kinds are
-supported, each with closed-form membership and cone queries so that the
-infinite kinds never need enumeration to answer a question:
+supported.  The last three lie on one time slice of the plane each, and
+each writes one closed-form primitive, its first member within an interval
+of positions, from which `_SliceFamily` answers membership and the cone
+query once for all three, so the infinite kinds never need enumeration:
 
 * FiniteFamily    - an explicit finite set, any dimension
 * IntegerRow      - {(t0, n) : n = 0, 1, 2, ...} in two dimensions
@@ -24,11 +26,6 @@ from typing import Iterator
 
 from .errors import DimensionMismatch
 from .minkowski import IntegerForm, Point, format_rational, from_form, leq, lt, rational
-
-
-def _check_planar(x: Point) -> None:
-    if x.dimension != 2:
-        raise DimensionMismatch("this family kind lives in two dimensions")
 
 
 def zero_position(k) -> int:
@@ -55,6 +52,7 @@ class SplittingFamily:
 
     A kind writes `contains`, `file_data` and, where it has a closed form,
     `first_strictly_below`; the other cone queries are derived here, once.
+    The planar kinds inherit both from `_SliceFamily` and write `_first_within`.
     A finite kind writes `members`.  An infinite kind writes `first_index`
     and `index_members`, from which `members` yields, `members_needed` and,
     where that bound can grow as a point descends, `members_needed_floor`;
@@ -163,57 +161,78 @@ class FiniteFamily(SplittingFamily):
         return None
 
 
+class _SliceFamily(SplittingFamily):
+    """A planar kind whose members lie on the time slice p/q, at positions (o + s)/q.
+
+    A member at offset s from the origin o/q lies strictly below x exactly
+    when dt = x0 - p/q > 0 and |x1 - o/q - s| <= dt.  A kind stores its
+    slice and writes `_first_within`; membership and the cone query are
+    answered here from it.
+    """
+
+    slr_by_construction = True
+    dimension = 2
+    #: The slice as integers (q, p, o): time p/q, position origin o/q.
+    _slice: tuple[int, int, int]
+
+    def _offsets(self, x: IntegerForm) -> tuple[int, int, int]:
+        """(D, dt, w): x0 - p/q and x1 - o/q, both over D = Dx * q."""
+        d, nums = x
+        q, p, o = self._slice
+        return d * q, nums[0] * q - p * d, nums[1] * q - o * d
+
+    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+        """The first member whose offset from the origin lies in [lo/d, hi/d], or None."""
+        raise NotImplementedError
+
+    def contains(self, x: Point) -> bool:
+        if len(x.form[1]) != 2:
+            return False
+        d, dt, w = self._offsets(x.form)
+        return dt == 0 and self._first_within(w, w, d) is not None
+
+    def first_strictly_below(self, x: Point) -> Point | None:
+        if len(x.form[1]) != 2:
+            raise DimensionMismatch("this family kind lives in two dimensions")
+        d, dt, w = self._offsets(x.form)
+        # On the slice itself only the member equal to x is weakly below.
+        return self._first_within(w - dt, w + dt, d) if dt > 0 else None
+
+
 @dataclass(frozen=True)
-class IntegerRow(SplittingFamily):
+class IntegerRow(_SliceFamily):
     """All points (t0, n) for natural n, on one simultaneity slice of the plane."""
 
     t0: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "t0", rational(self.t0))
+        t0 = rational(self.t0)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "_slice", (t0.denominator, t0.numerator, 0))
 
     is_finite = False
-    slr_by_construction = True
-    dimension = 2
-
     first_index = 0
 
     def index_members(self, n: int) -> tuple[Point, ...]:
         d, t = self.t0.denominator, self.t0.numerator
         return (from_form(d, (t, n * d)),)
 
-    def contains(self, x: Point) -> bool:
-        # x0 = t0 and x1 a natural number
-        d, nums = x.form
-        return (len(nums) == 2 and nums[0] * self.t0.denominator == self.t0.numerator * d
-                and nums[1] >= 0 and nums[1] % d == 0)
+    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+        # the least natural number n >= lo/d, if n <= hi/d
+        n = max(0, -(-lo // d))
+        return self.index_members(n)[0] if n * d <= hi else None
 
     def file_data(self) -> dict:
         return {"t0": format_rational(self.t0)}
 
     def members_needed(self, x: IntegerForm) -> int:
         # (t0, n) < x needs dt > 0 and n <= x1 + dt.
-        d, (t, u, *_) = x
-        q, p = self.t0.denominator, self.t0.numerator
-        dt = t * q - p * d                      # (x0 - t0) * D * q
-        return max(0, (u * q + dt) // (d * q)) if dt > 0 else 0
-
-    def first_strictly_below(self, x: Point) -> Point | None:
-        _check_planar(x)
-        d, (t, u) = x.form
-        q, p = self.t0.denominator, self.t0.numerator
-        dt = t * q - p * d                      # (x0 - t0) * D * q
-        if dt <= 0:
-            # On the slice itself only the member equal to x is weakly below.
-            return None
-        # Integers n >= 0 with (t0, n) below x: |x1 - n| <= x0 - t0.
-        u, dq = u * q, d * q
-        n = max(0, -((dt - u) // dq))
-        return from_form(q, (p, n * q)) if n * dq <= u + dt else None
+        d, dt, w = self._offsets(x)
+        return max(0, (w + dt) // d) if dt > 0 else 0
 
 
 @dataclass(frozen=True)
-class HarmonicPair(SplittingFamily):
+class HarmonicPair(_SliceFamily):
     """Two rows of points center +- (0, 1/n), accumulating at the center.
 
     The center itself is not a member, but it is a limit of members on both
@@ -225,11 +244,10 @@ class HarmonicPair(SplittingFamily):
     def __post_init__(self):
         if self.center.dimension != 2:
             raise ValueError("HarmonicPair lives in two dimensions")
+        dc, (c0, c1) = self.center.form
+        object.__setattr__(self, "_slice", (dc, c0, c1))
 
     is_finite = False
-    slr_by_construction = True
-    dimension = 2
-
     first_index = 1
 
     def index_members(self, n: int) -> tuple[Point, ...]:
@@ -237,14 +255,14 @@ class HarmonicPair(SplittingFamily):
         d, (t, x) = self.center.form
         return from_form(d * n, (t * n, x * n + d)), from_form(d * n, (t * n, x * n - d))
 
-    def contains(self, x: Point) -> bool:
-        # x0 = c0 and |x1 - c1| = 1/n: du = |x1 - c1| * D * Dc divides D * Dc
-        d, nums = x.form
-        dc, (c0, c1) = self.center.form
-        if len(nums) != 2 or nums[0] * dc != c0 * d:
-            return False
-        du = abs(nums[1] * dc - c1 * d)
-        return du > 0 and d * dc % du == 0
+    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+        # center + sign * (0, 1/n), + side first: sign/n in [lo/d, hi/d]
+        q, p, o = self._slice
+        for sign, a, b in ((1, lo, hi), (-1, -hi, -lo)):
+            n = _unit_fraction_in(a, b, d)
+            if n is not None:
+                return from_form(q * n, (p * n, o * n + sign * q))
+        return None
 
     def file_data(self) -> dict:
         return {"center": _format_point(self.center)}
@@ -252,48 +270,26 @@ class HarmonicPair(SplittingFamily):
     def members_needed(self, x: IntegerForm) -> int:
         # center +- (0, 1/n) < x needs dt > 0 and 1/n <= dt +- u; the first
         # such n is the ceiling of 1/(dt +- u).
-        d, (t, u, *_) = x
-        dc, (c0, c1) = self.center.form
-        dt = t * dc - c0 * d                    # (x0 - c0) * D * Dc
+        d, dt, du = self._offsets(x)
         if dt <= 0:
             return 0
-        du = u * dc - c1 * d
-        return max((-(-d * dc // v) for v in (dt + du, dt - du) if v > 0), default=0)
+        return max((-(-d // v) for v in (dt + du, dt - du) if v > 0), default=0)
 
     def members_needed_floor(self, x: IntegerForm, y: IntegerForm) -> int:
         # With a = x0 - c0 >= 0 and b = x1 - c1, a term of `members_needed(y)`
         # whose limit a +- b is >= 0 stays positive on (x, y] and only grows as
         # y descends; the other terms, and all of them when a < 0, may vanish.
-        dx, (xt, xu, *_) = x
-        d, (t, u, *_) = y
-        dc, (c0, c1) = self.center.form
-        a, b = xt * dc - c0 * dx, xu * dc - c1 * dx       # scaled by Dx * Dc
-        dt, du = t * dc - c0 * d, u * dc - c1 * d
-        return max((-(-d * dc // v) for v, limit in ((dt + du, a + b), (dt - du, a - b))
+        _, a, b = self._offsets(x)
+        d, dt, du = self._offsets(y)
+        return max((-(-d // v) for v, limit in ((dt + du, a + b), (dt - du, a - b))
                     if a >= 0 and limit >= 0), default=0)
-
-    def first_strictly_below(self, x: Point) -> Point | None:
-        # center + sign * (0, 1/n) < x needs dt > 0 and |u - sign/n| <= dt,
-        # that is sign*u - dt <= 1/n <= sign*u + dt, over the denominator D * Dc.
-        _check_planar(x)
-        d, (t, u) = x.form
-        dc, (c0, c1) = self.center.form
-        dt = t * dc - c0 * d
-        if dt <= 0:
-            return None
-        du = u * dc - c1 * d
-        for sign in (1, -1):
-            n = _unit_fraction_in(sign * du - dt, sign * du + dt, d * dc)
-            if n is not None:
-                return from_form(dc * n, (c0 * n, c1 * n + sign * dc))
-        return None
 
     def accumulation_points(self) -> tuple[Point, ...]:
         return (self.center,)
 
 
 @dataclass(frozen=True)
-class DifferenceRow(SplittingFamily):
+class DifferenceRow(_SliceFamily):
     """Splitting points of two binary sequences: (0, j) where their bits differ.
 
     A sequence is encoded by its finite set of zero positions, so the
@@ -316,26 +312,15 @@ class DifferenceRow(SplittingFamily):
         object.__setattr__(self, "points", tuple(from_form(1, (0, j)) for j in positions))
 
     is_finite = True
-    slr_by_construction = True
-    dimension = 2
+    _slice = (1, 0, 0)
 
     def members(self, limit: int | None = None) -> Iterator[Point]:
         return iter(self.points)
 
-    def contains(self, x: Point) -> bool:
-        # x = (0, j), an integer point, has the form (1, (0, j))
-        d, nums = x.form
-        return len(nums) == 2 and d == 1 and nums[0] == 0 and nums[1] in self.positions
-
-    def first_strictly_below(self, x: Point) -> Point | None:
-        # (0, j) < x exactly when x0 > 0 and |x1 - j| <= x0: the first
-        # position j >= ceil(x1 - x0), if it is at most x1 + x0.
-        _check_planar(x)
-        d, (t, u) = x.form
-        if t <= 0:
-            return None
-        i = bisect_left(self.positions, -((t - u) // d))
-        if i < len(self.positions) and self.positions[i] * d <= u + t:
+    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+        # the first position j >= lo/d, if j <= hi/d
+        i = bisect_left(self.positions, -(-lo // d))
+        if i < len(self.positions) and self.positions[i] * d <= hi:
             return self.points[i]
         return None
 

@@ -265,15 +265,20 @@ def validate_model(model: Model, truncate: int = TRIANGLE_TRUNCATION) -> Report:
     report.add("nonempty", not empty_pairs, "; ".join(empty_pairs))
 
     # Triangle condition, for every scenario triple with all families present.
+    # A triple that compares points of different dimensions is skipped: the
+    # dimension check already fails for it.
     triangle_failures = []
-    skipped = 0
+    skipped = {"missing families": 0, "families of different dimensions": 0}
     for a, b, c in combinations(model.scenarios, 3):
         for mid in (a, b, c):
             ends = tuple(s for s in (a, b, c) if s != mid)
             try:
                 result = triangle_check(model, ends[0], mid, ends[1], truncate=truncate)
             except MissingFamily:
-                skipped += 1
+                skipped["missing families"] += 1
+                continue
+            except DimensionMismatch:
+                skipped["families of different dimensions"] += 1
                 continue
             triple = f"({ends[0]!r},{mid!r},{ends[1]!r})"
             if not result.ok:
@@ -281,9 +286,8 @@ def validate_model(model: Model, truncate: int = TRIANGLE_TRUNCATION) -> Report:
             elif result.method != "exhaustive":
                 report.note(f"triangle {triple} holds on {result.method} only; bounded, not proved")
                 report.bounded = True
-    detail = "; ".join(triangle_failures)
-    if skipped and not triangle_failures:
-        detail = f"{skipped} triple(s) skipped for missing families"
+    detail = "; ".join(triangle_failures) or "; ".join(
+        f"{n} triple(s) skipped for {why}" for why, n in skipped.items() if n)
     report.add("triangle", not triangle_failures, detail)
 
     return report

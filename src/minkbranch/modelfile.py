@@ -108,6 +108,8 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
               f"{loc}.kind")
     data = _expect(entry["data"], dict, "a data object", f"{loc}.data")
     dloc = f"{loc}.data"
+    if kind != "finite" and dimension != 2:
+        _fail("this family kind requires model dimension 2", f"{loc}.kind")
 
     if kind == "finite":
         _expect_keys(data, {"points"}, set(), dloc)
@@ -116,15 +118,12 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
             _parse_point(p, dimension, f"{dloc}.points[{i}]") for i, p in enumerate(raw))
         family: SplittingFamily = FiniteFamily(pts)
     elif kind == "integer_row":
-        _require_planar(dimension, f"{loc}.kind")
         _expect_keys(data, {"t0"}, set(), dloc)
         family = IntegerRow(_parse_rational(data["t0"], f"{dloc}.t0"))
     elif kind == "harmonic_pair":
-        _require_planar(dimension, f"{loc}.kind")
         _expect_keys(data, {"center"}, set(), dloc)
         family = HarmonicPair(_parse_point(data["center"], 2, f"{dloc}.center"))
     else:
-        _require_planar(dimension, f"{loc}.kind")
         _expect_keys(data, {"zeros_a", "zeros_b"}, set(), dloc)
         family = DifferenceRow(
             _parse_zero_set(data["zeros_a"], f"{dloc}.zeros_a"),
@@ -133,15 +132,10 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
     return (pair[0], pair[1]), family
 
 
-def _require_planar(dimension: int, location: str):
-    if dimension != 2:
-        _fail("this family kind requires model dimension 2", location)
-
-
 def loads(text: str) -> Model:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"not valid JSON: {exc}", "$") from None
     _expect(doc, dict, "a model object", "$")
     _expect_keys(doc, {"dimension", "scenarios", "families"}, {"state"}, "$")

@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -380,3 +382,26 @@ def test_readme_flags_are_accepted():
     for name, body in sections:
         for flag in re.findall(r"--[a-z][a-z-]*", body):
             assert flag in accepted[name], (name, flag)
+
+
+def test_deeply_nested_json_is_a_parse_or_usage_error(capsys, tmp_path, harmonic_path):
+    deep = tmp_path / "deep.mbs"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["validate", "--model", str(deep)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error at $: not valid JSON")
+    code, out, err = run(capsys, ["query", "overlap", "--model", harmonic_path,
+                                  "--pair", "u,v", "--point", "[" * 100_000])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad point JSON")
+
+
+def test_closed_stdout_ends_quietly(monkeypatch, capsys, two_path):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["validate", "--model", two_path]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""

@@ -11,6 +11,7 @@ from minkbranch.families import (
     HarmonicPair,
     IntegerRow,
     SplittingFamily,
+    _SliceFamily,
     family_kind,
     is_empty,
 )
@@ -292,6 +293,13 @@ def test_cone_queries_derive_from_first_strictly_below(cls, args):
     assert not blind.any_strictly_below(above)
     assert not blind.any_weakly_below(above)
     assert Model(2, ("a", "b"), {("a", "b"): blind}).in_overlap("a", "b", above)
+
+
+@pytest.mark.parametrize("cls", [IntegerRow, HarmonicPair, DifferenceRow])
+def test_planar_kinds_share_one_membership_and_cone_query(cls):
+    for name in ("contains", "first_strictly_below"):
+        assert name not in vars(cls)
+        assert getattr(cls, name) is getattr(_SliceFamily, name)
 
 
 @pytest.mark.parametrize("family, empty", [

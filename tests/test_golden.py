@@ -57,6 +57,8 @@ CLI_CASES = {
                              "--box", "-1,1", "-1,1", "--step", "1/4"],
     "oracle_harmonic": ["oracle", "--model", _model("harmonic"),
                         "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/4"],
+    **{f"axioms_{name}": ["axioms", "--model", _model(name), "--seed", "3", "--cases", "200"]
+       for name in ("harmonic", "integer_row")},
 }
 
 # Calls that write files: the argv without the output options, and per
@@ -65,6 +67,9 @@ FILE_CASES = {
     "plot": (["plot", "--model", _model("harmonic"), "--pair", "u,v",
               "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/8", "--truncate", "16"],
              [("--svg", "region.svg"), ("--csv", "region.csv")]),
+    "plot_integer_row": (["plot", "--model", _model("integer_row"), "--pair", "p,q",
+                          "--box", "-1,2", "-1,4", "--step", "1/2", "--truncate", "8"],
+                         [("--svg", "region.svg"), ("--csv", "region.csv")]),
     **{f"oracle_csv_{name}{suffix}": (
         ["oracle", "--model", _model(name), "--box", "-1/2,1/2", "-1/2,1/2", "--step", "1/8",
          *truncate], [("--csv", "scan.csv")])

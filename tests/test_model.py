@@ -255,3 +255,20 @@ def test_dimension_check_names_the_off_dimension_family():
     report = validate_model(model)
     assert not report.passed
     assert "  dimension: FAIL (('a', 'b') is finite of dimension 3)" in report.lines()
+
+
+def test_triples_over_families_of_different_dimensions_are_skipped_not_raised():
+    model = mb.Model(3, ["a", "b", "c"], {
+        ("a", "b"): mb.FiniteFamily((point(0, 0),)),
+        ("b", "c"): mb.FiniteFamily((point(0, 0, 0),)),
+        ("a", "c"): mb.FiniteFamily((point(0, 5, 0),)),
+    })
+    lines = validate_model(model).lines()
+    assert "  dimension: FAIL (('a', 'b') is finite of dimension 2)" in lines
+    assert "  triangle: ok (3 triple(s) skipped for families of different dimensions)" in lines
+    gate = mb.run_axiom_suite(model).lines()
+    assert "  validation-gate: FAIL (model fails validation (dimension); suite not run)" in gate
+    # the missing-family text is unchanged
+    partial = mb.Model(2, ["a", "b", "c"], {("a", "b"): mb.FiniteFamily((point(0, 0),))})
+    assert ("  triangle: ok (3 triple(s) skipped for missing families)"
+            in validate_model(partial).lines())

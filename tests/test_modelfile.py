@@ -114,12 +114,14 @@ def test_bool_is_not_an_integer_rational():
 
 
 def test_row_kinds_demand_plane_dimension():
-    text = json.dumps({
-        "dimension": 3, "scenarios": ["a", "b"],
-        "families": [{"pair": ["a", "b"], "kind": "integer_row",
-                      "data": {"t0": "0/1"}}],
-    })
-    assert loc_of(text) == "$.families[0].kind"
+    for kind, data in (("integer_row", {"t0": "0/1"}),
+                       ("harmonic_pair", {"center": ["0/1", "0/1"]}),
+                       ("difference_row", {"zeros_a": [0], "zeros_b": []})):
+        text = json.dumps({
+            "dimension": 3, "scenarios": ["a", "b"],
+            "families": [{"pair": ["a", "b"], "kind": kind, "data": data}],
+        })
+        assert loc_of(text) == "$.families[0].kind", kind
 
 
 def test_loaded_model_answers_queries():
