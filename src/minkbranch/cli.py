@@ -84,7 +84,7 @@ def _decode(text: str, what: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError(f"bad {what} JSON {text!r}: {exc}")
+        raise UsageError(f"bad {what} JSON {text[:60]!r}{'...' if len(text) > 60 else ''}: {exc}")
 
 
 def _parse_point(raw, model: Model) -> Point:

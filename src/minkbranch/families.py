@@ -19,10 +19,10 @@ truncated member lists; the oracle module cross-checks that.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch
 from .minkowski import IntegerForm, Point, format_rational, from_form, leq, lt, rational
@@ -100,6 +100,11 @@ class SplittingFamily:
         """A lower bound on `members_needed` at every x + (e, 0), 0 < e <= y0 - x0; zero here."""
         return 0
 
+    def _column_members_needed(self, d: int, times: Sequence[int], position: tuple) -> int:
+        """The largest `members_needed` at the points (t, *position) / d, t in the
+        ascending `times`, read on the rows where it provably peaks; zero here."""
+        return 0
+
     def first_strictly_below(self, x: Point) -> Point | None:
         """The first member strictly below x, by a linear member scan."""
         for m in self.members():
@@ -167,7 +172,7 @@ class _SliceFamily(SplittingFamily):
     A member at offset s from the origin o/q lies strictly below x exactly
     when dt = x0 - p/q > 0 and |x1 - o/q - s| <= dt.  A kind stores its
     slice and writes `_first_within`; membership and the cone query are
-    answered here from it.
+    answered here from it, and only the cone query builds the member.
     """
 
     slr_by_construction = True
@@ -181,8 +186,9 @@ class _SliceFamily(SplittingFamily):
         q, p, o = self._slice
         return d * q, nums[0] * q - p * d, nums[1] * q - o * d
 
-    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
-        """The first member whose offset from the origin lies in [lo/d, hi/d], or None."""
+    def _first_within(self, lo: int, hi: int, d: int) -> tuple[int, int] | None:
+        """(s, k) for the first member whose offset s/k from the origin lies
+        in [lo/d, hi/d], or None."""
         raise NotImplementedError
 
     def contains(self, x: Point) -> bool:
@@ -196,7 +202,10 @@ class _SliceFamily(SplittingFamily):
             raise DimensionMismatch("this family kind lives in two dimensions")
         d, dt, w = self._offsets(x.form)
         # On the slice itself only the member equal to x is weakly below.
-        return self._first_within(w - dt, w + dt, d) if dt > 0 else None
+        if dt <= 0 or (found := self._first_within(w - dt, w + dt, d)) is None:
+            return None
+        (s, k), (q, p, o) = found, self._slice
+        return from_form(q * k, (p * k, o * k + s))
 
 
 @dataclass(frozen=True)
@@ -217,10 +226,10 @@ class IntegerRow(_SliceFamily):
         d, t = self.t0.denominator, self.t0.numerator
         return (from_form(d, (t, n * d)),)
 
-    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+    def _first_within(self, lo: int, hi: int, d: int) -> tuple[int, int] | None:
         # the least natural number n >= lo/d, if n <= hi/d
         n = max(0, -(-lo // d))
-        return self.index_members(n)[0] if n * d <= hi else None
+        return (n * self._slice[0], 1) if n * d <= hi else None
 
     def file_data(self) -> dict:
         return {"t0": format_rational(self.t0)}
@@ -229,6 +238,10 @@ class IntegerRow(_SliceFamily):
         # (t0, n) < x needs dt > 0 and n <= x1 + dt.
         d, dt, w = self._offsets(x)
         return max(0, (w + dt) // d) if dt > 0 else 0
+
+    def _column_members_needed(self, d: int, times: Sequence[int], position: tuple) -> int:
+        # x1 + dt never falls as x0 rises, so the top row holds the peak.
+        return self.members_needed((d, (times[-1], *position)))
 
 
 @dataclass(frozen=True)
@@ -255,13 +268,12 @@ class HarmonicPair(_SliceFamily):
         d, (t, x) = self.center.form
         return from_form(d * n, (t * n, x * n + d)), from_form(d * n, (t * n, x * n - d))
 
-    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+    def _first_within(self, lo: int, hi: int, d: int) -> tuple[int, int] | None:
         # center + sign * (0, 1/n), + side first: sign/n in [lo/d, hi/d]
-        q, p, o = self._slice
         for sign, a, b in ((1, lo, hi), (-1, -hi, -lo)):
             n = _unit_fraction_in(a, b, d)
             if n is not None:
-                return from_form(q * n, (p * n, o * n + sign * q))
+                return sign * self._slice[0], n
         return None
 
     def file_data(self) -> dict:
@@ -274,6 +286,15 @@ class HarmonicPair(_SliceFamily):
         if dt <= 0:
             return 0
         return max((-(-d // v) for v in (dt + du, dt - du) if v > 0), default=0)
+
+    def _column_members_needed(self, d: int, times: Sequence[int], position: tuple) -> int:
+        # A term above counts where dt > 0 and dt +- du > 0 and falls as dt grows,
+        # so it peaks on the lowest row where it counts: the first time t with
+        # t * q > p * d + r, over d * q, for r = 0 (the side of x) and r = |du|.
+        q, p, o = self._slice
+        rows = {bisect_right(times, (p * d + r) // q) for r in (0, abs(position[0] * q - o * d))}
+        return max((self.members_needed((d, (times[i], *position)))
+                    for i in rows if i < len(times)), default=0)
 
     def members_needed_floor(self, x: IntegerForm, y: IntegerForm) -> int:
         # With a = x0 - c0 >= 0 and b = x1 - c1, a term of `members_needed(y)`
@@ -317,11 +338,11 @@ class DifferenceRow(_SliceFamily):
     def members(self, limit: int | None = None) -> Iterator[Point]:
         return iter(self.points)
 
-    def _first_within(self, lo: int, hi: int, d: int) -> Point | None:
+    def _first_within(self, lo: int, hi: int, d: int) -> tuple[int, int] | None:
         # the first position j >= lo/d, if j <= hi/d
         i = bisect_left(self.positions, -(-lo // d))
         if i < len(self.positions) and self.positions[i] * d <= hi:
-            return self.points[i]
+            return self.positions[i], 1
         return None
 
     def file_data(self) -> dict:

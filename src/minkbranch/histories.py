@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import events, minkowski
 from .errors import ScenariosNotEnumerable, WitnessNotFound
 from .events import LabeledPoint
+from .families import SplittingFamily
 from .minkowski import Point
 from .model import BranchingModel, Model, ScenarioId, validate_model
 from .reporting import Report
@@ -125,10 +126,12 @@ def is_choice_point(model: BranchingModel, a: ScenarioId, b: ScenarioId, x: Poin
     """
     if a == b:
         raise ValueError("choice points need two distinct scenarios")
-    fam = model.family(a, b)
-    if fam.contains(x):
-        return True
-    return any(x == p for p in fam.accumulation_points())
+    return _is_family_choice_point(model.family(a, b), x)
+
+
+def _is_family_choice_point(family: SplittingFamily, x: Point) -> bool:
+    """`is_choice_point` on the pair's family: a member, or an accumulation point."""
+    return family.contains(x) or x in family.accumulation_points()
 
 
 def prior_choice_witness(model: BranchingModel, a: ScenarioId, b: ScenarioId,

@@ -17,16 +17,19 @@ with dt > 0 required, which leaves a member's own grid point kept.  A kept
 point can be maximal only at the top of its column, and a top is maximal
 unless another column's top lies strictly above it: in grid indices,
 di > 0 and di**2 >= |dc|**2.  The overlap scan costs O(M * C) for M members
-and C columns, the dominance sweep O(C**2), in every dimension.  The forms
-belong to the enumerated points themselves, never to a family's closed
-form.
+and C columns above the plane.  In the plane, the nearest member of each
+time slice alone sets a column's height, found by bisection: O(C log M) a
+slice.  The dominance sweep costs O(C**2) in every dimension.  The forms
+belong to the enumerated points themselves, never to a family's closed form.
 
 `truncate` caps the member indices a scan reads, and a scan reads only as
 far as a family kind's `members_needed` says: if a member lies strictly
 below x, one of index at most that bound does.
 
 * truncation adequacy: the overlap scan reads up to the largest bound over
-  the grid, or to the cap; a scan whose cap falls short carries a warning;
+  the grid, or to the cap; a scan whose cap falls short carries a warning.
+  A kind reads each column's largest bound only on the rows where it
+  provably peaks (`_column_members_needed`);
 * escape witnesses: a grid point with no scanned grid point above it may
   still have overlap points above it, in a wedge thinner than the step.
   Each such candidate x is tested at y = x + (eps, 0), with eps an exact
@@ -45,18 +48,19 @@ are excluded from agreement obligations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, groupby, product
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
 from .events import LabeledPoint
 from .families import SplittingFamily
-from .histories import is_choice_point
+from .histories import _is_family_choice_point
 from .minkowski import IntegerForm, Point, from_form, lattice, rational, separation
 from .model import BranchingModel, ScenarioId
 from .reporting import Report
@@ -138,18 +142,41 @@ def _kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
     """Per grid point, in `grid.points()` order: is no member strictly below it?"""
     d, step, (t_lo, *lows), (rows, *counts) = grid._lattice
     heights = [rows] * prod(counts)
+    spreads = _nearest_spreads if len(lows) == 1 else _spreads
+    for dm, m0, column_spreads in spreads(forms, d, step, lows, counts):
+        # dt = i * rise - base at row i, over d * dm: the least i with dt >= max(1, ceil(sqrt(s)))
+        base, rise = m0 * d - t_lo * dm, step * dm
+        heights = [min(h, ((isqrt(s - 1) if s else 0) + base) // rise + 1)
+                   for h, s in zip(heights, column_spreads)]
+    return [i < h for i in range(rows) for h in heights]
+
+
+def _spreads(forms, d, step, lows, counts):
+    """Per member (Dm, m0, s): s its squared distance to each column, in grid order, over d * Dm."""
     for dm, (m0, *mn) in forms:
-        # Over the denominator d * dm: the squared spatial distance s from the
-        # member to each column, in grid order, and dt = i * rise - base at time index i.
         spreads = [0]
         for lo, n, c in zip(lows, counts, mn):
             offsets = [((lo + step * k) * dm - c * d) ** 2 for k in range(n)]
             spreads = [s + o for s in spreads for o in offsets]
-        base, rise = m0 * d - t_lo * dm, step * dm
-        # the least i with dt >= max(1, ceil(sqrt(s)))
-        heights = [min(h, ((isqrt(s - 1) if s else 0) + base) // rise + 1)
-                   for h, s in zip(heights, spreads)]
-    return [i < h for i in range(rows) for h in heights]
+        yield dm, m0, spreads
+
+
+def _nearest_spreads(forms, d, step, lows, counts):
+    """`_spreads` on one spatial axis, one item per time slice of the members: on a
+    slice a column's height only grows with its distance to the member, so the
+    nearest member sets it, found by bisection over the slice's common denominator."""
+    (lo,), (n,) = lows, counts
+    slices = {}
+    for dm, (m0, m1) in forms:
+        g = gcd(m0, dm)
+        slices.setdefault((m0 // g, dm // g), []).append((dm, m1))
+    for (tn, td), members in slices.items():
+        den = lcm(*(dm for dm, _ in members))
+        # positions and columns over the denominator d * den
+        at = sorted(m1 * (den // dm) * d for dm, m1 in members)
+        xs = [(lo + step * k) * den for k in range(n)]
+        near = [at[max(j - 1, 0):j + 1] for j in (bisect_left(at, x) for x in xs)]
+        yield den, tn * (den // td), [min((x - p) ** 2 for p in ps) for x, ps in zip(xs, near)]
 
 
 @dataclass(frozen=True)
@@ -171,7 +198,10 @@ def oracle_overlap(model: BranchingModel, a: ScenarioId, b: ScenarioId,
     """Grid points with no truncated member strictly below them."""
     family = model.family(a, b)
     points = grid.points()
-    needed = max(family.members_needed(x.form) for x in points)
+    d, step, (t_lo, *lows), (rows, *counts) = grid._lattice
+    times = range(t_lo, t_lo + step * rows, step)
+    needed = max(family._column_members_needed(d, times, position) for position in
+                 product(*(range(lo, lo + step * n, step) for lo, n in zip(lows, counts))))
     members = _MemberForms(family, grid, min(needed, grid.truncate))
     kept = _kept(members.forms, grid)
     note = f"member indices up to {needed} reachable, cap {grid.truncate}"
@@ -182,10 +212,10 @@ def _flags(grid: GridSpec) -> tuple[bool, ...]:
     """Per grid point, in `grid.points()` order: within one light-cone step of
     the box top or of a spatial face?"""
     # lo + k * step, for k < n, is within one step of hi exactly when k = n - 1
-    counts = grid._lattice[3]
-    last = counts[0] - 1
-    return tuple(idx[0] == last or any(k == 0 or k == n - 1 for k, n in zip(idx[1:], counts[1:]))
-                 for idx in product(*map(range, counts)))
+    rows, *counts = grid._lattice[3]
+    faces = [[k == 0 or k == n - 1 for k in range(n)] for n in counts]
+    sides = [any(on) for on in product(*faces)]
+    return tuple(sides * (rows - 1) + [True] * len(sides))
 
 
 @dataclass(frozen=True)
@@ -310,17 +340,23 @@ def cross_check_scans(model: BranchingModel, grid: GridSpec, pairs=None,
     for a, b in pairs:
         tag = f"{a}|{b}"
         choice = scans[a, b] = oracle_choice_points(model, a, b, grid)
+        # per point, `model.in_overlap` (no member strictly below) and `is_choice_point`,
+        # with the pair's family looked up and the dimension checked once
+        family = model.family(a, b)
+        if grid.dimension != model.dimension:
+            raise DimensionMismatch(
+                f"point has dimension {grid.dimension}, model has {model.dimension}")
         scan = choice.overlap
         grid_pts, kept = scan.grid_points, scan.kept
         if not scan.adequate:
             report.note(f"{tag}: truncation not provably adequate: {scan.note}")
-        overlap_bad = [x for x, keep in zip(grid_pts, kept) if model.in_overlap(a, b, x) != keep]
+        overlap_bad = [x for x, keep in zip(grid_pts, kept) if family.any_strictly_below(x) == keep]
         report.add(f"overlap {tag}", not overlap_bad,
                    f"{len(grid_pts)} grid points" if not overlap_bad
                    else f"{len(overlap_bad)} disagreements; first {overlap_bad[0]!r}")
 
         choice_bad = [x for x, flag, cand in zip(grid_pts, choice.is_flagged, choice.is_candidate)
-                      if not flag and is_choice_point(model, a, b, x) != cand]
+                      if not flag and _is_family_choice_point(family, x) != cand]
         unflagged = choice.is_flagged.count(False)
         report.add(f"choice-points {tag}", not choice_bad,
                    f"{unflagged} unflagged grid points" if not choice_bad

@@ -396,6 +396,23 @@ def test_deeply_nested_json_is_a_parse_or_usage_error(capsys, tmp_path, harmonic
     assert err.startswith("error: bad point JSON")
 
 
+@pytest.mark.parametrize("text", ["[" * 20_000, '["1/2", ' + '"0/1" ' * 5_000],
+                         ids=["deep", "long"])
+def test_bad_json_message_quotes_a_bounded_prefix(capsys, harmonic_path, text):
+    code, out, err = run(capsys, ["query", "overlap", "--model", harmonic_path,
+                                  "--pair", "u,v", "--point", text])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad point JSON " + repr(text[:60]) + "...: ")
+    assert len(err) < 300
+
+
+def test_bad_json_message_quotes_a_short_argument_whole(capsys, two_path):
+    code, _, err = run(capsys, ["query", "overlap", "--model", two_path,
+                                "--pair", "s1,s2", "--point", "[1,"])
+    assert code == 2
+    assert err.startswith("error: bad point JSON '[1,': ")
+
+
 def test_closed_stdout_ends_quietly(monkeypatch, capsys, two_path):
     class Closed(io.StringIO):
         def write(self, text):

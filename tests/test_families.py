@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minkbranch import minkowski
+from minkbranch import families, minkowski
 from minkbranch.errors import DimensionMismatch
 from minkbranch.families import (
     DifferenceRow,
@@ -300,6 +300,28 @@ def test_planar_kinds_share_one_membership_and_cone_query(cls):
     for name in ("contains", "first_strictly_below"):
         assert name not in vars(cls)
         assert getattr(cls, name) is getattr(_SliceFamily, name)
+
+
+@pytest.mark.parametrize("family, member", [
+    (IntegerRow(F(1, 3)), point(F(1, 3), 4)),
+    (HarmonicPair(point(F(1, 2), F(-2, 3))), point(F(1, 2), F(-2, 3) - F(1, 5))),
+    (DifferenceRow(frozenset({1, 4}), frozenset({4})), point(0, 1)),
+])
+def test_contains_builds_no_point(monkeypatch, family, member):
+    # membership reads the member's offset; only the cone query builds the member
+    built = []
+    original = families.from_form
+
+    def counting(d, nums):
+        built.append(nums)
+        return original(d, nums)
+
+    monkeypatch.setattr(families, "from_form", counting)
+    assert family.contains(member)
+    assert not family.contains(member.translated((0, F(1, 7))))
+    assert built == []
+    above = member.translated((1, 0))
+    assert family.first_strictly_below(above) is not None and len(built) == 1
 
 
 @pytest.mark.parametrize("family, empty", [

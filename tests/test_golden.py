@@ -75,6 +75,10 @@ FILE_CASES = {
          *truncate], [("--csv", "scan.csv")])
        for name in ("harmonic", "integer_row")
        for suffix, truncate in (("", []), ("_truncate_7", ["--truncate", "7"]))},
+    # a fine grid: most columns take their height from a nearest member
+    "oracle_csv_harmonic_step_32": (
+        ["oracle", "--model", _model("harmonic"), "--box", "-1/2,1/2", "-1/2,1/2",
+         "--step", "1/32"], [("--csv", "scan.csv")]),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import minkbranch as mb
 from minkbranch import modelfile, oracle
-from minkbranch.errors import GridBudgetExceeded
+from minkbranch.errors import DimensionMismatch, GridBudgetExceeded
 from minkbranch.families import FiniteFamily, HarmonicPair, IntegerRow
 from minkbranch.minkowski import Point, lt, point
 from minkbranch.oracle import GridSpec, oracle_choice_points, oracle_cross_check, oracle_overlap
@@ -17,6 +17,7 @@ from minkbranch.oracle import GridSpec, oracle_choice_points, oracle_cross_check
 from conftest import (
     boundary_flagged,
     build_random_battery,
+    integer_lt,
     random_rational,
     reference_escape_witness,
     reference_oracle_candidates,
@@ -664,3 +665,97 @@ def test_scans_make_no_pairwise_order_test(monkeypatch, harmonic_model):
         assert any(scan.kept) and not all(scan.kept)
         assert any(oracle._maximal(scan.kept, grid))
         assert calls == [], grid.dimension
+
+
+# ---------------------------------------------------------------------------
+# The grid bound per column, and the planar kernel by nearest member
+# ---------------------------------------------------------------------------
+
+
+def _random_row_grids(rng, count):
+    """Seeded (family, grid) pairs: integer rows and harmonic pairs, with boxes
+    that start below, at or above the row's time and steps that need not
+    divide the box."""
+    for i in range(count):
+        t0, x0 = random_rational(rng, -2, 2, 8), random_rational(rng, -2, 2, 8)
+        family = HarmonicPair(point(t0, x0)) if i % 2 else IntegerRow(t0)
+        step = F(rng.randint(1, 3), rng.randint(2, 12))
+        box = tuple((lo, lo + random_rational(rng, 0, 1, 8))
+                    for lo in (t0 + random_rational(rng, -1, 1, 8),
+                               x0 + random_rational(rng, -1, 1, 8)))
+        yield family, GridSpec(box, step, truncate=1)
+
+
+def test_grid_bound_is_the_all_points_maximum():
+    # the scan takes the grid's largest `members_needed` from a few rows per
+    # column; the adequacy note shows it, so it must be the all-points maximum
+    rng = random.Random(20070613)
+    positive = {IntegerRow: 0, HarmonicPair: 0}
+    for family, grid in _random_row_grids(rng, 3000):
+        expected = max(family.members_needed(x.form) for x in grid.points())
+        scan = oracle_overlap(mb.Model(2, ("a", "b"), {("a", "b"): family}), "a", "b", grid)
+        assert scan.note == f"member indices up to {expected} reachable, cap 1", (family, grid)
+        positive[type(family)] += expected > 0
+    assert min(positive.values()) >= 500, positive
+
+
+def test_planar_kernel_matches_a_linear_scan_on_awkward_member_forms():
+    # several member times, one time under several denominators, forms that
+    # are not lcm forms (any common denominator serves), members on column
+    # positions, and members beside the box
+    rng = random.Random(20070614)
+    telling = 0
+    for _ in range(300):
+        step = F(rng.randint(1, 3), rng.randint(1, 8))
+        box = tuple((random_rational(rng, -1, 0, 6), random_rational(rng, 1, 2, 6))
+                    for _ in range(2))
+        grid = GridSpec(box, step)
+        columns = grid.axis_values(1)
+        times = [random_rational(rng, -2, 2, 6) for _ in range(rng.randint(1, 3))]
+        forms = []
+        for _ in range(rng.randint(1, 8)):
+            x = rng.choice(columns) if rng.random() < 0.3 else random_rational(rng, -3, 4, 9)
+            dm, nums = point(rng.choice(times), x).form
+            k = rng.choice((1, 1, 2, 3))
+            forms.append((dm * k, tuple(n * k for n in nums)))
+        kept = oracle._kept(forms, grid)
+        assert kept == [not any(integer_lt(m, x.form) for m in forms) for x in grid.points()], \
+            (forms, box, step)
+        telling += any(kept) and not all(kept)
+    assert telling >= 150, telling
+
+
+def test_column_scans_match_linear_scans_on_the_fine_harmonic_grid(harmonic_model):
+    # at step 1/64 members of index up to 64 reach the grid, 128 on one slice
+    half = (F(-1, 2), F(1, 2))
+    grid = GridSpec((half, half), F(1, 64), truncate=64)
+    assert oracle_overlap(harmonic_model, "u", "v", grid).adequate
+    _assert_scans_match_reference(harmonic_model, grid)
+
+
+def test_cross_check_looks_each_family_up_per_pair_not_per_point(monkeypatch, harmonic_model):
+    calls = []
+    original = type(harmonic_model).family
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(type(harmonic_model), "family", counting)
+    half = (F(-1, 2), F(1, 2))
+    for step in (F(1, 4), F(1, 16)):
+        calls.clear()
+        assert oracle_cross_check(harmonic_model, GridSpec((half, half), step),
+                                  order_samples=0).passed
+        assert len(calls) == 2, (step, calls)
+
+
+def test_cross_check_on_a_grid_of_another_dimension_raises_as_before(harmonic_model):
+    grid = GridSpec(((-1, 1),) * 3, F(1, 2))
+    with pytest.raises(DimensionMismatch, match="^family members do not have the grid's dimension 3$"):
+        oracle_cross_check(harmonic_model, grid)
+    # an empty family has no dimension, so the model's is checked; with no
+    # order samples, no `events.leq` call checks it instead
+    empty = mb.Model(2, ("a", "b"), {("a", "b"): FiniteFamily(())})
+    with pytest.raises(DimensionMismatch, match="^point has dimension 3, model has 2$"):
+        oracle_cross_check(empty, grid, order_samples=0)
