@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import modelfile
-from .errors import MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario
+from .errors import (MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario,
+                     _quoted)
 from .minkowski import Point, format_rational, rational
 from .model import TRIANGLE_TRUNCATION, Model, validate_model
 
@@ -65,16 +66,17 @@ def _parse_rational(value) -> Fraction:
         return rational(value)
     except TypeError:
         # As in .mbs files: a JSON float is almost never the rational meant.
-        raise UsageError(f"bad coordinate {value!r}: rationals are 'p/q' strings (or integers)")
+        raise UsageError(
+            f"bad coordinate {_quoted(value)}: rationals are 'p/q' strings (or integers)")
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {value!r} (write p/q)")
+        raise UsageError(f"bad rational {_quoted(value)} (write p/q)")
 
 
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid positive integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid positive integer: {_quoted(text)}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -84,7 +86,7 @@ def _decode(text: str, what: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError(f"bad {what} JSON {text[:60]!r}{'...' if len(text) > 60 else ''}: {exc}")
+        raise UsageError(f"bad {what} JSON {_quoted(text)}: {exc}")
 
 
 def _parse_point(raw, model: Model) -> Point:
@@ -103,7 +105,7 @@ def _parse_labeled(text: str, model: Model):
         raise UsageError(
             'labeled points are {"point": [...], "scenario": "label"} JSON objects')
     if not isinstance(raw["scenario"], str):
-        raise UsageError(f"bad scenario {raw['scenario']!r}: labels are JSON strings")
+        raise UsageError(f"bad scenario {_quoted(raw['scenario'])}: labels are JSON strings")
     point = _parse_point(raw["point"], model)
     return LabeledPoint(point, raw["scenario"])
 
@@ -111,7 +113,7 @@ def _parse_labeled(text: str, model: Model):
 def _parse_pair(text: str) -> tuple[str, str]:
     parts = text.split(",")
     if len(parts) != 2 or not all(parts):
-        raise UsageError(f"bad pair {text!r} (write a,b)")
+        raise UsageError(f"bad pair {_quoted(text)} (write a,b)")
     return parts[0], parts[1]
 
 
@@ -120,7 +122,7 @@ def _parse_box(parts: list[str]) -> tuple[tuple[Fraction, Fraction], ...]:
     for part in parts:
         bounds = part.split(",")
         if len(bounds) != 2:
-            raise UsageError(f"bad box range {part!r} (write lo,hi)")
+            raise UsageError(f"bad box range {_quoted(part)} (write lo,hi)")
         box.append((_parse_rational(bounds[0]), _parse_rational(bounds[1])))
     return tuple(box)
 
@@ -243,12 +245,12 @@ def _cmd_plot(args) -> int:
     fixed = {}
     for item in args.fix or []:
         if "=" not in item:
-            raise UsageError(f"bad --fix {item!r} (write axis=p/q)")
+            raise UsageError(f"bad --fix {_quoted(item)} (write axis=p/q)")
         axis_text, value = item.split("=", 1)
         try:
             axis = int(axis_text)
         except ValueError:
-            raise UsageError(f"bad --fix axis {axis_text!r}")
+            raise UsageError(f"bad --fix axis {_quoted(axis_text)}")
         fixed[axis] = _parse_rational(value)
     cells = plotting.region_cells(model, a, b, grid, axis=args.axis, fixed=fixed)
     outputs = [(args.svg, plotting.render_svg(model, a, b, grid, cells,

@@ -1,6 +1,19 @@
-"""Shared exception types."""
+"""Shared exception types, and the bounded quote of outside input their messages use."""
 
 from __future__ import annotations
+
+
+_QUOTED_CHARS = 60
+
+
+def _quoted(value) -> str:
+    """`repr(value)` for a message, bounded: a string is cut to its first 60 characters
+    before its repr, which escapes each in at most ten (as '\\U000e0001'), and another
+    value's repr is cut to 60 characters; a cut ends in '...'."""
+    if isinstance(value, str):
+        return f"{value[:_QUOTED_CHARS]!r}{'...' if len(value) > _QUOTED_CHARS else ''}"
+    text = repr(value)
+    return text if len(text) <= _QUOTED_CHARS else f"{text[:_QUOTED_CHARS]}..."
 
 
 class DimensionMismatch(ValueError):

@@ -255,6 +255,8 @@ class HarmonicPair(_SliceFamily):
     center: Point
 
     def __post_init__(self):
+        if not isinstance(self.center, Point):
+            object.__setattr__(self, "center", Point(tuple(self.center)))
         if self.center.dimension != 2:
             raise ValueError("HarmonicPair lives in two dimensions")
         dc, (c0, c1) = self.center.form

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, MissingFamily, UnknownScenario
+from .errors import DimensionMismatch, MissingFamily, UnknownScenario, _quoted
 from .families import (
     DifferenceRow,
     SplittingFamily,
@@ -56,7 +56,7 @@ class BranchingModel:
 
     def require_scenario(self, label: ScenarioId) -> None:
         if not self.has_scenario(label):
-            raise UnknownScenario(f"unknown scenario {label!r}")
+            raise UnknownScenario(f"unknown scenario {_quoted(label)}")
 
     def in_overlap(self, a: ScenarioId, b: ScenarioId, x: Point) -> bool:
         """Is x below or beside every splitting point of the pair?
@@ -133,7 +133,8 @@ class Model(BranchingModel):
         try:
             return self._resolved[frozenset((a, b))]
         except KeyError:
-            raise MissingFamily(f"no splitting family declared for {a!r}, {b!r}") from None
+            raise MissingFamily(
+                f"no splitting family declared for {_quoted(a)}, {_quoted(b)}") from None
 
     def scenario_pairs(self) -> list[tuple[ScenarioId, ScenarioId]]:
         return list(combinations(self.scenarios, 2))

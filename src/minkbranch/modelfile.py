@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ModelFormatError
+from .errors import _QUOTED_CHARS, ModelFormatError, _quoted
 from .families import (
     KIND_NAMES,
     DifferenceRow,
@@ -65,8 +65,14 @@ def _parse_rational(value, location: str) -> Fraction:
         return rational(value)
     except TypeError:
         _fail("rationals are 'p/q' strings (or integers)", location)
-    except (ValueError, ZeroDivisionError) as exc:
-        _fail(f"bad rational {value!r}: {exc}", location)
+    except ValueError as exc:
+        # Fraction names the fault before a colon, then repeats the value or its length
+        reason = exc if len(value) <= _QUOTED_CHARS else str(exc).partition(":")[0]
+        _fail(f"bad rational {_quoted(value)}: {reason}", location)
+    except ZeroDivisionError as exc:
+        # its message is 'Fraction(numerator, 0)'
+        reason = exc if len(value) <= _QUOTED_CHARS else "zero denominator"
+        _fail(f"bad rational {_quoted(value)}: {reason}", location)
 
 
 def _parse_point(value, dimension: int, location: str) -> Point:
@@ -98,13 +104,13 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
     for i, label in enumerate(pair):
         _expect(label, str, "a scenario label string", f"{loc}.pair[{i}]")
         if label not in scenarios:
-            _fail(f"undeclared scenario {label!r}", f"{loc}.pair[{i}]")
+            _fail(f"undeclared scenario {_quoted(label)}", f"{loc}.pair[{i}]")
     if pair[0] == pair[1]:
         _fail("a pair needs two distinct scenarios", f"{loc}.pair")
 
     kind = _expect(entry["kind"], str, "a kind string", f"{loc}.kind")
     if kind not in KIND_NAMES.values():
-        _fail(f"unknown kind {kind!r}; known kinds: {', '.join(KIND_NAMES.values())}",
+        _fail(f"unknown kind {_quoted(kind)}; known kinds: {', '.join(KIND_NAMES.values())}",
               f"{loc}.kind")
     data = _expect(entry["data"], dict, "a data object", f"{loc}.data")
     dloc = f"{loc}.data"
@@ -151,7 +157,7 @@ def loads(text: str) -> Model:
     for i, label in enumerate(raw_scenarios):
         _expect(label, str, "a scenario label string", f"$.scenarios[{i}]")
         if label in labels:
-            _fail(f"duplicate scenario {label!r}", f"$.scenarios[{i}]")
+            _fail(f"duplicate scenario {_quoted(label)}", f"$.scenarios[{i}]")
         labels.append(label)
 
     raw_families = _expect(doc["families"], list, "an array of families", "$.families")

@@ -16,10 +16,12 @@ at which the member lies strictly below the column.  That index is one
 with dt > 0 required, which leaves a member's own grid point kept.  A kept
 point can be maximal only at the top of its column, and a top is maximal
 unless another column's top lies strictly above it: in grid indices,
-di > 0 and di**2 >= |dc|**2.  The overlap scan costs O(M * C) for M members
-and C columns above the plane.  In the plane, the nearest member of each
-time slice alone sets a column's height, found by bisection: O(C log M) a
-slice.  The dominance sweep costs O(C**2) in every dimension.  The forms
+di > 0 and di**2 >= |dc|**2.  The overlap scan reads lines of members (a
+time slice in the plane): a line's members share a time and every coordinate
+past the first spatial axis, and its nearest member alone sets a column's
+height, found by bisection.  That costs O(C log M) a line for C columns and M
+members in every dimension, O(M * C) only when every member has its own
+line.  The dominance sweep costs O(C**2) in every dimension.  The forms
 belong to the enumerated points themselves, never to a family's closed form.
 
 `truncate` caps the member indices a scan reads, and a scan reads only as
@@ -142,8 +144,7 @@ def _kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
     """Per grid point, in `grid.points()` order: is no member strictly below it?"""
     d, step, (t_lo, *lows), (rows, *counts) = grid._lattice
     heights = [rows] * prod(counts)
-    spreads = _nearest_spreads if len(lows) == 1 else _spreads
-    for dm, m0, column_spreads in spreads(forms, d, step, lows, counts):
+    for dm, m0, column_spreads in _line_spreads(forms, d, step, lows, counts):
         # dt = i * rise - base at row i, over d * dm: the least i with dt >= max(1, ceil(sqrt(s)))
         base, rise = m0 * d - t_lo * dm, step * dm
         heights = [min(h, ((isqrt(s - 1) if s else 0) + base) // rise + 1)
@@ -151,32 +152,30 @@ def _kept(forms: list[IntegerForm], grid: GridSpec) -> list[bool]:
     return [i < h for i in range(rows) for h in heights]
 
 
-def _spreads(forms, d, step, lows, counts):
-    """Per member (Dm, m0, s): s its squared distance to each column, in grid order, over d * Dm."""
-    for dm, (m0, *mn) in forms:
-        spreads = [0]
-        for lo, n, c in zip(lows, counts, mn):
-            offsets = [((lo + step * k) * dm - c * d) ** 2 for k in range(n)]
-            spreads = [s + o for s in spreads for o in offsets]
-        yield dm, m0, spreads
-
-
-def _nearest_spreads(forms, d, step, lows, counts):
-    """`_spreads` on one spatial axis, one item per time slice of the members: on a
-    slice a column's height only grows with its distance to the member, so the
-    nearest member sets it, found by bisection over the slice's common denominator."""
-    (lo,), (n,) = lows, counts
-    slices = {}
-    for dm, (m0, m1) in forms:
-        g = gcd(m0, dm)
-        slices.setdefault((m0 // g, dm // g), []).append((dm, m1))
-    for (tn, td), members in slices.items():
+def _line_spreads(forms, d, step, lows, counts):
+    """Per line of members (D, t, s): the line's time t over D, and s each column's
+    squared distance to the line's nearest member, in grid order, over d * D.  On a
+    time slice a column's height only grows with that distance, so the nearest member
+    sets it: bisected on the first axis, plus each other axis's fixed offset."""
+    (lo, *others), (n, *other_counts) = lows, counts
+    lines = {}
+    for dm, (m0, m1, *rest) in forms:
+        # the key is the reduced form of (time, coordinates past the first spatial axis)
+        g = gcd(dm, m0, *rest)
+        lines.setdefault((dm // g, m0 // g, *map(g.__rfloordiv__, rest)), []).append((dm, m1))
+    for (ld, t, *fixed), members in lines.items():
         den = lcm(*(dm for dm, _ in members))
+        scale = den // ld
         # positions and columns over the denominator d * den
         at = sorted(m1 * (den // dm) * d for dm, m1 in members)
         xs = [(lo + step * k) * den for k in range(n)]
-        near = [at[max(j - 1, 0):j + 1] for j in (bisect_left(at, x) for x in xs)]
-        yield den, tn * (den // td), [min((x - p) ** 2 for p in ps) for x, ps in zip(xs, near)]
+        last = len(at) - 1
+        spreads = [min((x - at[max(j - 1, 0)]) ** 2, (x - at[min(j, last)]) ** 2)
+                   for x, j in zip(xs, [bisect_left(at, x) for x in xs])]
+        for low, count, c in zip(others, other_counts, fixed):
+            offsets = [((low + step * k) * den - c * scale * d) ** 2 for k in range(count)]
+            spreads = [s + o for s in spreads for o in offsets]
+        yield den, t * scale, spreads
 
 
 @dataclass(frozen=True)

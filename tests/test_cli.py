@@ -10,6 +10,7 @@ import pytest
 import minkbranch as mb
 from minkbranch import oracle
 from minkbranch.cli import build_parser, main
+from minkbranch.errors import _quoted
 from minkbranch.minkowski import point
 
 
@@ -310,6 +311,80 @@ def test_non_string_scenario_is_usage_error(capsys, two_path):
         ])
         assert (code, out) == (2, ""), label
         assert "bad scenario" in err
+
+
+LONG = "x" * 20_000
+DIGITS = "1" * 20_000
+VALIDATE = ["validate", "--model", "MODEL"]
+
+
+def _edited_model(path, tmp_path, edit):
+    """A copy of the model file at `path`, with `edit` applied to its JSON document."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    edit(doc)
+    out = tmp_path / "edited.mbs"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return str(out)
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (lambda doc: doc["families"][0]["data"]["points"][0].__setitem__(0, LONG), VALIDATE),
+    (lambda doc: doc["families"][0]["pair"].__setitem__(0, LONG), VALIDATE),
+    (lambda doc: doc["scenarios"].extend(["s1" + LONG] * 2), VALIDATE),
+    (lambda doc: doc.update(families=[dict(doc["families"][0], kind=LONG)]), VALIDATE),
+    (None, ["query", "overlap", "--model", "MODEL", "--pair", "s1,s2",
+            "--point", f'["{DIGITS}/", "0"]']),
+    (None, ["query", "overlap", "--model", "MODEL", "--pair", f"s1,{LONG}",
+            "--point", '["0", "0"]']),
+    (None, ["query", "overlap", "--model", "MODEL", "--pair", f"s1,s2,{LONG}",
+            "--point", '["0", "0"]']),
+    (None, ["query", "overlap", "--model", "MODEL", "--pair", "s1,s2", "--point", "[" * 20_000]),
+    (None, ["oracle", "--model", "MODEL", "--box", f"-1,1,{DIGITS}", "-1,1"]),
+    (None, ["oracle", "--model", "MODEL", "--box", "-1,1", "-1,1", "--truncate", LONG]),
+    (None, ["query", "order", "--model", "MODEL",
+            "--a", '{"point": ["0", "0"], "scenario": [%s]}' % ",".join(["1"] * 5000),
+            "--b", '{"point": ["0", "0"], "scenario": "s1"}']),
+    (None, ["plot", "--model", "MODEL", "--pair", "s1,s2", "--box", "-1,1", "-1,1",
+            "--svg", "OUT", "--fix", LONG]),
+    (None, ["plot", "--model", "MODEL", "--pair", "s1,s2", "--box", "-1,1", "-1,1",
+            "--svg", "OUT", "--fix", f"{LONG}=1"]),
+], ids=["mbs-rational", "mbs-undeclared-label", "mbs-duplicate-label", "mbs-kind", "point",
+        "pair-label", "pair", "point-json", "box", "truncate", "scenario", "fix", "fix-axis"])
+def test_long_input_is_quoted_bounded(capsys, tmp_path, two_path, edit, argv):
+    paths = {"MODEL": _edited_model(two_path, tmp_path, edit) if edit else two_path,
+             "OUT": str(tmp_path / "region.svg")}
+    try:
+        code = main([paths.get(arg, arg) for arg in argv])
+    except SystemExit as exc:           # argparse's own usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and len(err.encode()) < 300, err[:400]
+
+
+def test_quoted_input_is_repr_up_to_sixty_characters():
+    for value in ("", "s1", "x" * 60, "\x00" * 60, [1], None, list(range(17))):
+        assert _quoted(value) == repr(value), value
+    assert _quoted("x" * 61) == repr("x" * 60) + "..."
+    assert _quoted(list(range(30))) == repr(list(range(30)))[:60] + "..."
+    # the cut is in characters of the value: escaping may spell each in up to ten
+    tag = "\U000e0001"
+    assert _quoted(tag * 20_000) == repr(tag * 60) + "..."
+    assert len(_quoted(tag * 20_000)) == 10 * 60 + 5
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("1/0", "Fraction(1, 0)"), ("1" * 61 + "/0", "zero denominator"),
+    ("1/x", "Invalid literal for Fraction: '1/x'"),
+    ("1" * 61 + "/x", "Invalid literal for Fraction"),
+    (f"{DIGITS}/1", "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["zero", "long-zero", "literal", "long-literal", "digits"])
+def test_bad_mbs_rational_keeps_its_reason_when_cut(capsys, tmp_path, two_path, value, reason):
+    path = _edited_model(two_path, tmp_path,
+                         lambda doc: doc["families"][0]["data"]["points"][0].__setitem__(0, value))
+    code, out, err = run(capsys, ["validate", "--model", path])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"...: {reason}\n" if len(value) > 60 else f"{value!r}: {reason}\n"), err
 
 
 @pytest.mark.parametrize("fix", ["--fix=5=1", "--fix=-1=1/3", "--fix=0=0"])

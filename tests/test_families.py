@@ -168,6 +168,14 @@ def test_harmonic_matches_enumeration():
         assert fam.any_strictly_below(x) == expected, x
 
 
+def test_harmonic_coerces_a_raw_centre():
+    # as FiniteFamily coerces its points
+    assert HarmonicPair((0, 0)) == HarmonicPair(point(0, 0))
+    assert HarmonicPair(("1/2", -1)).center == point(F(1, 2), -1)
+    with pytest.raises(ValueError, match="^HarmonicPair lives in two dimensions$"):
+        HarmonicPair((0, 0, 0))
+
+
 def test_harmonic_rejects_other_dimensions():
     fam = HarmonicPair(point(0, 0))
     with pytest.raises(DimensionMismatch):

@@ -1,7 +1,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import product
+from itertools import compress, product
 from math import floor, prod
 from pathlib import Path
 
@@ -10,7 +10,7 @@ import pytest
 import minkbranch as mb
 from minkbranch import modelfile, oracle
 from minkbranch.errors import DimensionMismatch, GridBudgetExceeded
-from minkbranch.families import FiniteFamily, HarmonicPair, IntegerRow
+from minkbranch.families import DifferenceRow, FiniteFamily, HarmonicPair, IntegerRow
 from minkbranch.minkowski import Point, lt, point
 from minkbranch.oracle import GridSpec, oracle_choice_points, oracle_cross_check, oracle_overlap
 
@@ -723,6 +723,91 @@ def test_planar_kernel_matches_a_linear_scan_on_awkward_member_forms():
             (forms, box, step)
         telling += any(kept) and not all(kept)
     assert telling >= 150, telling
+
+
+@pytest.mark.parametrize("dimension, steps", [(3, ((1, 3), (2, 6))), (4, ((1, 2), (2, 4)))],
+                         ids=["3d", "4d"])
+def test_line_kernel_matches_a_linear_scan_on_awkward_member_forms_above_two_dimensions(
+        dimension, steps):
+    # lines that share a time but not their other coordinates, one line under
+    # several denominators, forms that are not lcm forms, members on column
+    # positions, and members beside the box
+    rng = random.Random(20070620 + dimension)
+    telling = 0
+    for _ in range(150):
+        step = F(rng.randint(*steps[0]), rng.randint(*steps[1]))
+        box = tuple((random_rational(rng, -1, 0, 6), random_rational(rng, 0, 1, 6))
+                    for _ in range(dimension))
+        grid = GridSpec(box, step)
+        axes = [grid.axis_values(k) for k in range(1, dimension)]
+        times = [random_rational(rng, -2, 1, 6) for _ in range(rng.randint(1, 2))]
+        lines = [(rng.choice(times),) + tuple(
+                     rng.choice(axis) if rng.random() < 0.5 else random_rational(rng, -2, 2, 6)
+                     for axis in axes[1:])
+                 for _ in range(rng.randint(1, 3))]
+        forms = []
+        for _ in range(rng.randint(1, 8)):
+            t, *rest = rng.choice(lines)
+            x = rng.choice(axes[0]) if rng.random() < 0.3 else random_rational(rng, -3, 4, 9)
+            dm, nums = point(t, x, *rest).form
+            k = rng.choice((1, 1, 2, 3))
+            forms.append((dm * k, tuple(n * k for n in nums)))
+        kept = oracle._kept(forms, grid)
+        assert kept == [not any(integer_lt(m, x.form) for m in forms) for x in grid.points()], \
+            (forms, box, step)
+        telling += any(kept) and not all(kept)
+    assert telling >= 50, telling
+
+
+@pytest.mark.parametrize("dimension, step", [(3, F(1, 4)), (4, F(1, 3))], ids=["3d", "4d"])
+def test_a_line_of_members_is_read_as_one_line_above_two_dimensions(
+        monkeypatch, dimension, step):
+    # the rows of the paper's 4-D setting lie along the first spatial axis
+    members = tuple(point(0, F(k, 7), *[0] * (dimension - 2)) for k in range(-20, 21))
+    model = mb.Model(dimension, ("a", "b"), {("a", "b"): FiniteFamily(members)})
+    grid = GridSpec(((F(-1, 2), 1),) + ((-1, 1),) * (dimension - 1), step)
+    heights = []
+    original = oracle.isqrt
+
+    def counting(n):
+        heights.append(n)
+        return original(n)
+
+    monkeypatch.setattr(oracle, "isqrt", counting)
+    kept = oracle._kept([m.form for m in members], grid)
+    # one height per column from the line, where one per member would be 41
+    columns = prod(grid._lattice[3][1:])
+    assert 0 < len(heights) <= columns, (len(heights), columns)
+    monkeypatch.undo()
+    reference = reference_oracle_overlap(model, "a", "b", grid)
+    assert frozenset(compress(grid.points(), kept)) == reference
+    assert any(kept) and not all(kept)
+
+
+def test_the_oracle_calls_no_closed_form_query(monkeypatch, harmonic_model):
+    # the oracle is the independent side: it enumerates members and never asks
+    # a family's closed form whether a point is a member or has one below it
+    half = (F(-1, 2), F(1, 2))
+    cases = [(harmonic_model, GridSpec((half, half), F(1, 8)))] + [
+        (mb.Model(2, ("a", "b"), {("a", "b"): family}), GridSpec(((-1, 1), (-1, 2)), F(1, 4)))
+        for family in (IntegerRow(0), DifferenceRow(frozenset({0, 2}), frozenset({1})),
+                       FiniteFamily((point(0, 0), point(F(1, 2), 1))))] + [
+        (mb.Model(d, ("a", "b"), {("a", "b"): FiniteFamily((
+            point(0, *[0] * (d - 1)), point(F(1, 4), F(1, 2), *[F(-1, 3)] * (d - 2))))}),
+         GridSpec((half,) * d, F(1, 4)))
+        for d in (3, 4)]
+    expected = [oracle_choice_points(model, *model.scenario_list(), grid).candidates
+                for model, grid in cases]
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the oracle called a closed-form family query")
+
+    for cls in (FiniteFamily, IntegerRow, HarmonicPair, DifferenceRow):
+        for name in ("contains", "first_strictly_below", "any_strictly_below",
+                     "any_weakly_below", "_first_within"):
+            monkeypatch.setattr(cls, name, closed_form, raising=False)
+    for (model, grid), candidates in zip(cases, expected):
+        assert oracle_choice_points(model, *model.scenario_list(), grid).candidates == candidates
 
 
 def test_column_scans_match_linear_scans_on_the_fine_harmonic_grid(harmonic_model):
