@@ -30,6 +30,9 @@ from .minkowski import Point, point
 from .model import BranchingModel
 from .reporting import Report
 
+#: Hard cap on the zero-support bound: its scenarios are all listed, 2**bound of them.
+SUPPORT_BUDGET = 16
+
 
 @dataclass(frozen=True)
 class ZeroSetScenario:
@@ -183,6 +186,8 @@ def scenarios_at_chain_point(i: int) -> PrefixZeroScenarios:
 
 
 def _all_scenarios_with_support(bound: int) -> list[ZeroSetScenario]:
+    if bound > SUPPORT_BUDGET:
+        raise ValueError(f"support bound {bound} exceeds {SUPPORT_BUDGET}: 2**{bound} scenarios")
     support = list(range(bound))
     out = []
     for mask in range(1 << bound):

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all executed checks passed (queries count as data, not
 checks), 1 at least one check failed (witnesses are printed) or stdout was
-closed early, 2 parse or usage errors (with the document location for
-model files).
+closed early, 2 parse or usage errors (with the location in the model file
+or the argument).
 
 Each subcommand imports the modules it runs, so a call loads only those.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
 import re
 import sys
@@ -21,8 +20,9 @@ from fractions import Fraction
 
 from . import modelfile
 from .errors import (MissingFamily, ModelFormatError, ScenariosNotEnumerable, UnknownScenario,
-                     _quoted)
-from .minkowski import Point, format_rational, rational
+                     _cut, _quoted)
+from .minkowski import format_rational
+from .modelfile import _decode, _expect, _expect_keys, _parse_point, _parse_rational
 from .model import TRIANGLE_TRUNCATION, Model, validate_model
 
 
@@ -30,13 +30,19 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse quotes an offending argument whole; its own text fits in 200 characters
+        super().error(message if len(message) <= 200 else f"{message[:200]}...")
+
+
 def _load_model(path: str) -> Model:
     try:
         return modelfile.load(path)
     except FileNotFoundError:
-        raise UsageError(f"model file not found: {path}")
+        raise UsageError(f"model file not found: {_cut(path)}")
     except OSError as exc:
-        raise UsageError(f"cannot read model file {path}: {exc.strerror}")
+        raise UsageError(f"cannot read model file {_cut(path)}: {exc.strerror}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -44,7 +50,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}")
+        raise UsageError(f"cannot write {_cut(path)}: {exc.strerror}")
 
 
 def _check_writable(path: str) -> None:
@@ -58,18 +64,7 @@ def _check_writable(path: str) -> None:
         code = errno.EACCES
     else:
         return
-    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
-
-
-def _parse_rational(value) -> Fraction:
-    try:
-        return rational(value)
-    except TypeError:
-        # As in .mbs files: a JSON float is almost never the rational meant.
-        raise UsageError(
-            f"bad coordinate {_quoted(value)}: rationals are 'p/q' strings (or integers)")
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {_quoted(value)} (write p/q)")
+    raise UsageError(f"cannot write {_cut(path)}: {os.strerror(code)}")
 
 
 def _positive_int(text: str) -> int:
@@ -78,36 +73,16 @@ def _positive_int(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid positive integer: {_quoted(text)}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {_quoted(value)}")
     return value
 
 
-def _decode(text: str, what: str):
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError(f"bad {what} JSON {_quoted(text)}: {exc}")
-
-
-def _parse_point(raw, model: Model) -> Point:
-    """The point a decoded JSON argument spells."""
-    if not isinstance(raw, list):
-        raise UsageError('points are JSON arrays of rationals, e.g. \'["1/2","0/1"]\'')
-    if len(raw) != model.dimension:
-        raise UsageError(f"point has {len(raw)} coordinates, model dimension is {model.dimension}")
-    return Point(tuple(_parse_rational(c) for c in raw))
-
-
-def _parse_labeled(text: str, model: Model):
+def _parse_labeled(text: str, flag: str, model: Model):
     from .events import LabeledPoint
-    raw = _decode(text, "labeled-point")
-    if not isinstance(raw, dict) or set(raw) != {"point", "scenario"}:
-        raise UsageError(
-            'labeled points are {"point": [...], "scenario": "label"} JSON objects')
-    if not isinstance(raw["scenario"], str):
-        raise UsageError(f"bad scenario {_quoted(raw['scenario'])}: labels are JSON strings")
-    point = _parse_point(raw["point"], model)
-    return LabeledPoint(point, raw["scenario"])
+    raw = _expect(_decode(text, flag), dict, "a labeled-point object", flag)
+    _expect_keys(raw, {"point", "scenario"}, set(), flag)
+    label = _expect(raw["scenario"], str, "a scenario label string", f"{flag}.scenario")
+    return LabeledPoint(_parse_point(raw["point"], model.dimension, f"{flag}.point"), label)
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -119,11 +94,11 @@ def _parse_pair(text: str) -> tuple[str, str]:
 
 def _parse_box(parts: list[str]) -> tuple[tuple[Fraction, Fraction], ...]:
     box = []
-    for part in parts:
+    for i, part in enumerate(parts):
         bounds = part.split(",")
         if len(bounds) != 2:
             raise UsageError(f"bad box range {_quoted(part)} (write lo,hi)")
-        box.append((_parse_rational(bounds[0]), _parse_rational(bounds[1])))
+        box.append(tuple(_parse_rational(bound, f"--box[{i}]") for bound in bounds))
     return tuple(box)
 
 
@@ -149,20 +124,16 @@ def _cmd_validate(args) -> int:
 def _cmd_query(args) -> int:
     from . import events, histories
     model = _load_model(args.model)
-    if args.what == "order":
-        a = _parse_labeled(args.a, model)
-        b = _parse_labeled(args.b, model)
-        print(_bool_word(events.leq(model, a, b)))
-    elif args.what == "equiv":
-        a = _parse_labeled(args.a, model)
-        b = _parse_labeled(args.b, model)
-        print(_bool_word(events.glued(model, a, b)))
+    if args.what in ("order", "equiv"):
+        a = _parse_labeled(args.a, "--a", model)
+        b = _parse_labeled(args.b, "--b", model)
+        print(_bool_word((events.leq if args.what == "order" else events.glued)(model, a, b)))
     elif args.what == "overlap":
         pair = _parse_pair(args.pair)
-        x = _parse_point(_decode(args.point, "point"), model)
+        x = _parse_point(_decode(args.point, "--point"), model.dimension, "--point")
         print(_bool_word(model.in_overlap(pair[0], pair[1], x)))
     else:  # history
-        a = _parse_labeled(args.a, model)
+        a = _parse_labeled(args.a, "--a", model)
         print(_bool_word(histories.in_history(model, a, histories.History(args.history))))
     return 0
 
@@ -171,13 +142,11 @@ def _cmd_choice_points(args) -> int:
     from . import histories
     model = _load_model(args.model)
     a, b = _parse_pair(args.pair)
-    x = _parse_point(_decode(args.point, "point"), model)
+    x = _parse_point(_decode(args.point, "--point"), model.dimension, "--point")
     generated = histories.is_generated_choice_point(model, a, b, x)
     choice = histories.is_choice_point(model, a, b, x)
     print(f"generated: {_bool_word(generated)}")
-    suffix = ""
-    if choice and not generated:
-        suffix = " (emergent)"
+    suffix = " (emergent)" if choice and not generated else ""
     print(f"choice-point: {_bool_word(choice)}{suffix}")
     return 0
 
@@ -190,7 +159,7 @@ def _cmd_axioms(args) -> int:
         seed=args.seed,
         cases=args.cases,
         box=_parse_box(args.box) if args.box else None,
-        step=_parse_rational(args.step),
+        step=_parse_rational(args.step, "--step"),
     )
     return _print_report(histories.run_axiom_suite(model, config))
 
@@ -198,6 +167,7 @@ def _cmd_axioms(args) -> int:
 def _cmd_counterexample(args) -> int:
     from . import binaryrow
     depth = args.depth
+    scenarios = binaryrow._all_scenarios_with_support(args.support)
     print(f"binary-row chain to depth {depth}")
     print("declared infimum (-1/1, 0/1): below the whole row, glued for every scenario")
     for i, z in enumerate(binaryrow.chain_points(depth), start=1):
@@ -207,7 +177,7 @@ def _cmd_counterexample(args) -> int:
               f"glued scenarios: {sset}  e.g. {samples}")
     print()
     print(f"exclusion witnesses (zero support inside 0..{args.support - 1}):")
-    for scenario in binaryrow._all_scenarios_with_support(args.support):
+    for scenario in scenarios:
         k = binaryrow.exclusion_witness(scenario)
         print(f"  {scenario}: first 1 at position {k}; "
               f"splits from the chain label at (0/1, {k}/1), below z_{k + 1}")
@@ -219,7 +189,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle, plotting
     model = _load_model(args.model)
-    grid = oracle.GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)
+    grid = oracle.GridSpec(_parse_box(args.box), _parse_rational(args.step, "--step"),
+                           truncate=args.truncate)
     pairs = [_parse_pair(p) for p in args.pair] if args.pair else None
     if args.csv and grid.dimension != 2:
         raise UsageError("CSV scans take a 2-D grid")
@@ -241,7 +212,8 @@ def _cmd_plot(args) -> int:
     from .oracle import GridSpec
     model = _load_model(args.model)
     a, b = _parse_pair(args.pair)
-    grid = GridSpec(_parse_box(args.box), _parse_rational(args.step), truncate=args.truncate)
+    grid = GridSpec(_parse_box(args.box), _parse_rational(args.step, "--step"),
+                    truncate=args.truncate)
     fixed = {}
     for item in args.fix or []:
         if "=" not in item:
@@ -251,7 +223,7 @@ def _cmd_plot(args) -> int:
             axis = int(axis_text)
         except ValueError:
             raise UsageError(f"bad --fix axis {_quoted(axis_text)}")
-        fixed[axis] = _parse_rational(value)
+        fixed[axis] = _parse_rational(value, "--fix")
     cells = plotting.region_cells(model, a, b, grid, axis=args.axis, fixed=fixed)
     outputs = [(args.svg, plotting.render_svg(model, a, b, grid, cells,
                                               axis=args.axis, fixed=fixed))]
@@ -266,7 +238,7 @@ def _cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minkbranch",
         description="Branching space-times over the exact Minkowski causal order.")
     sub = parser.add_subparsers(dest="command", required=True)

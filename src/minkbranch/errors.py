@@ -6,14 +6,18 @@ from __future__ import annotations
 _QUOTED_CHARS = 60
 
 
+def _cut(text: str) -> str:
+    """`text` for a message, unquoted, cut to its first 60 characters; a cut ends in '...'."""
+    return text if len(text) <= _QUOTED_CHARS else f"{text[:_QUOTED_CHARS]}..."
+
+
 def _quoted(value) -> str:
     """`repr(value)` for a message, bounded: a string is cut to its first 60 characters
     before its repr, which escapes each in at most ten (as '\\U000e0001'), and another
     value's repr is cut to 60 characters; a cut ends in '...'."""
     if isinstance(value, str):
         return f"{value[:_QUOTED_CHARS]!r}{'...' if len(value) > _QUOTED_CHARS else ''}"
-    text = repr(value)
-    return text if len(text) <= _QUOTED_CHARS else f"{text[:_QUOTED_CHARS]}..."
+    return _cut(repr(value))
 
 
 class DimensionMismatch(ValueError):
@@ -45,9 +49,10 @@ class WitnessNotFound(RuntimeError):
 
 
 class ModelFormatError(ValueError):
-    """A model file failed schema validation.
+    """A model file or a command-line value failed schema validation.
 
-    `location` is a dotted path into the document, e.g. "families[2].kind".
+    `location` is a path into the document, e.g. "$.families[2].kind", or
+    into an argument, e.g. "--a.point[0]".
     """
 
     def __init__(self, message: str, location: str = "$"):

@@ -171,8 +171,8 @@ class _SliceFamily(SplittingFamily):
 
     A member at offset s from the origin o/q lies strictly below x exactly
     when dt = x0 - p/q > 0 and |x1 - o/q - s| <= dt.  A kind stores its
-    slice and writes `_first_within`; membership and the cone query are
-    answered here from it, and only the cone query builds the member.
+    slice and writes `_first_within`; membership and the cone queries are
+    answered here from it, and only `first_strictly_below` builds the member.
     """
 
     slr_by_construction = True
@@ -197,15 +197,22 @@ class _SliceFamily(SplittingFamily):
         d, dt, w = self._offsets(x.form)
         return dt == 0 and self._first_within(w, w, d) is not None
 
-    def first_strictly_below(self, x: Point) -> Point | None:
+    def _first_below(self, x: Point) -> tuple[int, int] | None:
+        """`_first_within`'s (s, k) for the first member strictly below x, or None."""
         if len(x.form[1]) != 2:
             raise DimensionMismatch("this family kind lives in two dimensions")
         d, dt, w = self._offsets(x.form)
         # On the slice itself only the member equal to x is weakly below.
-        if dt <= 0 or (found := self._first_within(w - dt, w + dt, d)) is None:
+        return self._first_within(w - dt, w + dt, d) if dt > 0 else None
+
+    def first_strictly_below(self, x: Point) -> Point | None:
+        if (found := self._first_below(x)) is None:
             return None
         (s, k), (q, p, o) = found, self._slice
         return from_form(q * k, (p * k, o * k + s))
+
+    def any_strictly_below(self, x: Point) -> bool:
+        return self._first_below(x) is not None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Model files: a JSON dialect with rationals as "p/q" strings.
 
+The command line reads its point, labeled-point and rational arguments with
+the same parsers, at a location that names the flag (`--a.point[0]`).
+
 Schema (all keys required unless noted):
 
     {
@@ -16,8 +19,8 @@ Schema (all keys required unless noted):
       "state": anything        (optional; carried verbatim, never interpreted)
     }
 
-Unknown kinds and unknown keys are rejected with the document location of
-the offense.  Loading is total over the schema, not over model semantics:
+Unknown kinds and unknown keys are rejected with the location of the
+offense.  Loading is total over the schema, not over model semantics:
 a file that parses but fails validation loads fine and then fails
 `validate_model`, which is what the validate subcommand reports.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import _QUOTED_CHARS, ModelFormatError, _quoted
+from .errors import _QUOTED_CHARS, ModelFormatError, _cut, _quoted
 from .families import (
     KIND_NAMES,
     DifferenceRow,
@@ -57,7 +60,18 @@ def _expect_keys(mapping: dict, required: set[str], optional: set[str], location
         _fail(f"missing key(s): {', '.join(sorted(missing))}", location)
     unknown = sorted(mapping.keys() - required - optional)
     if unknown:
-        _fail(f"unknown key(s): {', '.join(unknown)}", f"{location}.{unknown[0]}")
+        key = _cut(unknown[0])          # unquoted, as the location spells it
+        more = f" and {len(unknown) - 1} more" if len(unknown) > 1 else ""
+        _fail(f"unknown key(s): {key}{more}", f"{location}.{key}")
+
+
+def _decode(text: str, location: str):
+    """The JSON value `text` spells.  Invalid JSON, nesting too deep and an integer
+    past the interpreter's digit limit are ModelFormatErrors at `location`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        _fail(f"not valid JSON: {exc}", location)
 
 
 def _parse_rational(value, location: str) -> Fraction:
@@ -139,11 +153,7 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
 
 
 def loads(text: str) -> Model:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}", "$") from None
-    _expect(doc, dict, "a model object", "$")
+    doc = _expect(_decode(text, "$"), dict, "a model object", "$")
     _expect_keys(doc, {"dimension", "scenarios", "families"}, {"state"}, "$")
 
     dimension = doc["dimension"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, _quoted
 from .histories import is_choice_point
 from .minkowski import Point, format_rational
 from .model import BranchingModel, ScenarioId
@@ -53,11 +53,11 @@ def region_cells(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: Grid
     if grid.dimension != 2:
         raise DimensionMismatch("plots take a 2-D grid (time and one spatial axis)")
     if not 1 <= axis < model.dimension:
-        raise DimensionMismatch(f"axis {axis} is not a spatial axis of the model")
+        raise DimensionMismatch(f"axis {_quoted(axis)} is not a spatial axis of the model")
     fixed = dict(fixed or {})
     for i in fixed:
         if not 1 <= i < model.dimension:
-            raise DimensionMismatch(f"fixed axis {i} is not a spatial axis of the model")
+            raise DimensionMismatch(f"fixed axis {_quoted(i)} is not a spatial axis of the model")
     if axis in fixed:
         raise DimensionMismatch("fixed coordinates cannot include the plotted axes")
 

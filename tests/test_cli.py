@@ -9,6 +9,7 @@ import pytest
 
 import minkbranch as mb
 from minkbranch import oracle
+from minkbranch.binaryrow import SUPPORT_BUDGET
 from minkbranch.cli import build_parser, main
 from minkbranch.errors import _quoted
 from minkbranch.minkowski import point
@@ -195,19 +196,20 @@ def test_oracle_refine_is_gone(capsys, two_path):
 
 
 def test_float_coordinates_are_usage_errors(capsys, two_path):
-    for text in ('[1.5, 0]', '["1/2", 0.0]', '[true, 0]'):
+    for text, location in (('[1.5, 0]', "--point[0]"), ('["1/2", 0.0]', "--point[1]"),
+                           ('[true, 0]', "--point[0]")):
         code, out, err = run(capsys, [
             "query", "overlap", "--model", two_path, "--pair", "s1,s2", "--point", text,
         ])
         assert (code, out) == (2, ""), text
-        assert "bad coordinate" in err
+        assert err == f"parse error at {location}: rationals are 'p/q' strings (or integers)\n"
     code, out, err = run(capsys, [
         "query", "order", "--model", two_path,
         "--a", '{"point": [-1.5, 0], "scenario": "s1"}',
         "--b", '{"point": ["0/1", "0/1"], "scenario": "s2"}',
     ])
     assert (code, out) == (2, "")
-    assert "bad coordinate" in err
+    assert err.startswith("parse error at --a.point[0]: rationals are")
     # integers stay accepted
     code, out, _ = run(capsys, [
         "query", "overlap", "--model", two_path, "--pair", "s1,s2", "--point", "[-1, 0]",
@@ -239,12 +241,12 @@ def test_parse_error_exit_codes(capsys, tmp_path, two_path):
     assert code == 2
     assert "not found" in err
 
-    code, _, err = run(capsys, [
+    code, out, err = run(capsys, [
         "query", "order", "--model", two_path,
         "--a", "notjson", "--b", '{"point": ["0/1", "0/1"], "scenario": "s1"}',
     ])
-    assert code == 2
-    assert "bad labeled-point JSON" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error at --a: not valid JSON: ")
 
     code, _, err = run(capsys, [
         "query", "order", "--model", two_path,
@@ -310,11 +312,12 @@ def test_non_string_scenario_is_usage_error(capsys, two_path):
             "--b", '{"point": ["0/1", "0/1"], "scenario": "s1"}',
         ])
         assert (code, out) == (2, ""), label
-        assert "bad scenario" in err
+        assert err.startswith("parse error at --a.scenario: expected a scenario label string")
 
 
 LONG = "x" * 20_000
 DIGITS = "1" * 20_000
+HUGE = "7" * 4_000      # under the interpreter's int digit limit
 VALIDATE = ["validate", "--model", "MODEL"]
 
 
@@ -348,18 +351,43 @@ def _edited_model(path, tmp_path, edit):
             "--svg", "OUT", "--fix", LONG]),
     (None, ["plot", "--model", "MODEL", "--pair", "s1,s2", "--box", "-1,1", "-1,1",
             "--svg", "OUT", "--fix", f"{LONG}=1"]),
+    (lambda doc: doc.update({LONG: 1}), VALIDATE),
+    (lambda doc: doc.update({chr(0x100 + i): 1 for i in range(10_000)}), VALIDATE),
+    (None, ["query", "history", "--model", "MODEL", "--history", "s1",
+            "--a", json.dumps({"point": ["0", "0"], "scenario": "s1", LONG: 1})]),
+    (None, ["validate", "--model", f"MODEL{LONG}"]),
+    (None, ["plot", "--model", "MODEL", "--pair", "s1,s2", "--box", "-1,1", "-1,1",
+            "--svg", f"OUT/no/{LONG}"]),
+    (None, ["plot", "--model", "MODEL", "--pair", "s1,s2", "--box", "-1,1", "-1,1",
+            "--svg", "OUT", "--axis", HUGE]),
+    (None, ["counterexample", "--depth", f"-{HUGE}"]),
 ], ids=["mbs-rational", "mbs-undeclared-label", "mbs-duplicate-label", "mbs-kind", "point",
-        "pair-label", "pair", "point-json", "box", "truncate", "scenario", "fix", "fix-axis"])
+        "pair-label", "pair", "point-json", "box", "truncate", "scenario", "fix", "fix-axis",
+        "mbs-key", "mbs-keys", "labeled-key", "model-path", "svg-path", "axis", "depth"])
 def test_long_input_is_quoted_bounded(capsys, tmp_path, two_path, edit, argv):
     paths = {"MODEL": _edited_model(two_path, tmp_path, edit) if edit else two_path,
              "OUT": str(tmp_path / "region.svg")}
     try:
-        code = main([paths.get(arg, arg) for arg in argv])
+        code = main([re.sub("^(MODEL|OUT)", lambda m: paths[m[0]], arg) for arg in argv])
     except SystemExit as exc:           # argparse's own usage errors
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.endswith("\n") and len(err.encode()) < 300, err[:400]
+
+
+@pytest.mark.parametrize("argv", [
+    [LONG],
+    ["axioms", "--model", "MODEL", "--seed", LONG],
+    ["validate", "--model", "MODEL", LONG, LONG],
+], ids=["command", "seed", "unrecognized"])
+def test_argparse_errors_are_cut(capsys, two_path, argv):
+    # argparse quotes an argument whole; the CLI cuts its message to 200 characters
+    with pytest.raises(SystemExit) as exit_info:
+        main([two_path if arg == "MODEL" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    assert err.endswith("x...\n") and len(err.encode()) < 600, err[:600]
 
 
 def test_quoted_input_is_repr_up_to_sixty_characters():
@@ -385,6 +413,57 @@ def test_bad_mbs_rational_keeps_its_reason_when_cut(capsys, tmp_path, two_path, 
     code, out, err = run(capsys, ["validate", "--model", path])
     assert (code, out) == (2, "")
     assert err.endswith(f"...: {reason}\n" if len(value) > 60 else f"{value!r}: {reason}\n"), err
+
+
+def test_unknown_keys_are_named_by_the_first_one_and_a_count(capsys, tmp_path, two_path):
+    keys = {chr(0x100 + i): 1 for i in range(10_000)}
+    path = _edited_model(two_path, tmp_path, lambda doc: doc.update(keys))
+    code, out, err = run(capsys, ["validate", "--model", path])
+    assert (code, out) == (2, "")
+    assert err == "parse error at $.\u0100: unknown key(s): \u0100 and 9999 more\n"
+
+
+def _finite_model(point_json: str, extra: str = "") -> str:
+    return ('{"dimension": 2, "scenarios": ["s1", "s2"], "families": [{"pair": ["s1", "s2"], '
+            '"kind": "finite", "data": {"points": [%s]}}]%s}' % (point_json, extra))
+
+
+def _bad_coordinate(value: str, file_location: str, arg_location: str):
+    return (_finite_model(f'[{value}, "0"]'),
+            ["query", "overlap", "--pair", "s1,s2", "--point", f'[{value}, "0"]'],
+            file_location, arg_location)
+
+
+@pytest.mark.parametrize("text, argv, file_location, arg_location", [
+    *(_bad_coordinate(value, "$.families[0].data.points[0][0]", "--point[0]")
+      for value in ('"1/x"', "1.5", "true", '"1/0"')),
+    ('{"dimension": %s, "scenarios": ["a"], "families": []}' % DIGITS[:5000],
+     ["query", "overlap", "--pair", "s1,s2", "--point", f'[{DIGITS[:5000]}, "0"]'], "$", "--point"),
+    (_finite_model('["0", "0"]', f', "{LONG}": 1'),
+     ["query", "history", "--history", "s1",
+      "--a", json.dumps({"point": ["0", "0"], "scenario": "s1", LONG: 1})],
+     f"$.{LONG[:60]}...", f"--a.{LONG[:60]}..."),
+], ids=["literal", "float", "bool", "zero", "digits", "key"])
+def test_a_bad_value_reads_the_same_in_a_file_and_an_argument(
+        capsys, tmp_path, two_path, text, argv, file_location, arg_location):
+    path = tmp_path / "bad.mbs"
+    path.write_text(text, encoding="utf-8")
+    errs = []
+    for location, call in ((file_location, ["validate", "--model", str(path)]),
+                           (arg_location, argv[:1] + ["--model", two_path] + argv[1:])):
+        code, out, err = run(capsys, call)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error at {location}: ") and len(err.encode()) < 300, err
+        errs.append(err[len(f"parse error at {location}: "):])
+    assert errs[0] == errs[1]
+
+
+@pytest.mark.parametrize("support", [SUPPORT_BUDGET + 1, 64])
+def test_counterexample_support_is_capped(capsys, support):
+    code, out, err = run(capsys, ["counterexample", "--depth", "2", "--support", str(support)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: support bound {support} exceeds {SUPPORT_BUDGET}: "
+                   f"2**{support} scenarios\n")
 
 
 @pytest.mark.parametrize("fix", ["--fix=5=1", "--fix=-1=1/3", "--fix=0=0"])
@@ -468,7 +547,7 @@ def test_deeply_nested_json_is_a_parse_or_usage_error(capsys, tmp_path, harmonic
     code, out, err = run(capsys, ["query", "overlap", "--model", harmonic_path,
                                   "--pair", "u,v", "--point", "[" * 100_000])
     assert (code, out) == (2, "")
-    assert err.startswith("error: bad point JSON")
+    assert err.startswith("parse error at --point: not valid JSON")
 
 
 @pytest.mark.parametrize("text", ["[" * 20_000, '["1/2", ' + '"0/1" ' * 5_000],
@@ -477,15 +556,15 @@ def test_bad_json_message_quotes_a_bounded_prefix(capsys, harmonic_path, text):
     code, out, err = run(capsys, ["query", "overlap", "--model", harmonic_path,
                                   "--pair", "u,v", "--point", text])
     assert (code, out) == (2, "")
-    assert err.startswith("error: bad point JSON " + repr(text[:60]) + "...: ")
+    assert err.startswith("parse error at --point: not valid JSON: ")
     assert len(err) < 300
 
 
 def test_bad_json_message_quotes_a_short_argument_whole(capsys, two_path):
-    code, _, err = run(capsys, ["query", "overlap", "--model", two_path,
-                                "--pair", "s1,s2", "--point", "[1,"])
-    assert code == 2
-    assert err.startswith("error: bad point JSON '[1,': ")
+    code, out, err = run(capsys, ["query", "overlap", "--model", two_path,
+                                  "--pair", "s1,s2", "--point", "[1,"])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error at --point: not valid JSON: Expecting value")
 
 
 def test_closed_stdout_ends_quietly(monkeypatch, capsys, two_path):

@@ -291,10 +291,9 @@ KIND_SAMPLES = [
 @pytest.mark.parametrize("cls, args", KIND_SAMPLES,
                          ids=[cls.__name__ for cls, _ in KIND_SAMPLES])
 def test_cone_queries_derive_from_first_strictly_below(cls, args):
-    class Blind(cls):
-        def first_strictly_below(self, x):
-            return None
-
+    # a planar kind derives them, as first_strictly_below, from its slice query
+    blinded = "_first_below" if issubclass(cls, _SliceFamily) else "first_strictly_below"
+    Blind = type("Blind", (cls,), {blinded: lambda self, x: None})
     above = point(10, 0)
     assert cls(*args).any_strictly_below(above)
     blind = Blind(*args)
@@ -316,7 +315,8 @@ def test_planar_kinds_share_one_membership_and_cone_query(cls):
     (DifferenceRow(frozenset({1, 4}), frozenset({4})), point(0, 1)),
 ])
 def test_contains_builds_no_point(monkeypatch, family, member):
-    # membership reads the member's offset; only the cone query builds the member
+    # membership and the boolean cone queries read the member's offset;
+    # only first_strictly_below builds the member
     built = []
     original = families.from_form
 
@@ -327,8 +327,10 @@ def test_contains_builds_no_point(monkeypatch, family, member):
     monkeypatch.setattr(families, "from_form", counting)
     assert family.contains(member)
     assert not family.contains(member.translated((0, F(1, 7))))
-    assert built == []
     above = member.translated((1, 0))
+    assert family.any_strictly_below(above) and family.any_weakly_below(above)
+    assert family.any_weakly_below(member)
+    assert built == []
     assert family.first_strictly_below(above) is not None and len(built) == 1
 
 

@@ -6,6 +6,9 @@ and SVG, the oracle's scan CSV) follow under a `--- <name>` line each.
 After an intended output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
+
+`--check` instead compares every case and exits 1 on a mismatch; it needs
+no pytest, so any interpreter the package supports can run it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from minkbranch.cli import main
 
@@ -125,16 +126,28 @@ def produce(case: str) -> str:
 CASES = [f"demo_{name}" for name in DEMOS] + list(CLI_CASES) + list(FILE_CASES)
 
 
-@pytest.mark.parametrize("case", CASES)
+def pytest_generate_tests(metafunc):
+    metafunc.parametrize("case", CASES)
+
+
+def _expected(case: str) -> str:
+    return (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
 def test_golden_output(case):
-    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
-    assert produce(case) == expected
+    assert produce(case) == _expected(case)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
-        (GOLDEN / f"{case}.txt").write_text(produce(case), encoding="utf-8")
-        print(f"wrote {GOLDEN / case}.txt")
+    if sys.argv[1:] == ["--regenerate"]:
+        GOLDEN.mkdir(exist_ok=True)
+        for case in CASES:
+            (GOLDEN / f"{case}.txt").write_text(produce(case), encoding="utf-8")
+            print(f"wrote {GOLDEN / case}.txt")
+    elif sys.argv[1:] == ["--check"]:
+        failed = [case for case in CASES if produce(case) != _expected(case)]
+        print(f"{len(CASES) - len(failed)} of {len(CASES)} cases match"
+              + "".join(f"\nMISMATCH {case}" for case in failed))
+        sys.exit(1 if failed else 0)
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate | --check")
