@@ -20,28 +20,29 @@ topology of such a history fails compactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import events
+from .errors import _quoted
 from .events import LabeledPoint
 from .families import DifferenceRow, zero_position
-from .minkowski import Point, point
+from .minkowski import Point, _Value, point
 from .model import BranchingModel
 from .reporting import Report
 
 #: Hard cap on the zero-support bound: its scenarios are all listed, 2**bound of them.
 SUPPORT_BUDGET = 16
+#: Hard cap on the chain depth: `centred_family_report` re-checks every prefix, O(depth**3).
+DEPTH_BUDGET = 100
 
 
-@dataclass(frozen=True)
-class ZeroSetScenario:
+class ZeroSetScenario(_Value):
     """A 01-sequence with finitely many zeros, encoded by its zero positions."""
 
-    zeros: frozenset[int]
+    __slots__ = _fields = ("zeros",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "zeros", frozenset(map(zero_position, self.zeros)))
+    def __init__(self, zeros: frozenset[int]):
+        self._store(zeros=frozenset(map(zero_position, zeros)))
 
     @classmethod
     def leading_zeros(cls, count: int) -> "ZeroSetScenario":
@@ -146,8 +147,7 @@ def exclusion_witness(scenario: ZeroSetScenario, model: BinaryRowModel | None = 
     return k
 
 
-@dataclass(frozen=True)
-class PrefixZeroScenarios:
+class PrefixZeroScenarios(_Value):
     """The scenarios glued to the chain at depth i: zeros covering 0..i-1.
 
     Decidable membership over an infinite set; depth 0 is the whole
@@ -155,11 +155,12 @@ class PrefixZeroScenarios:
     declared infimum (-1, 0), which sits below the entire row).
     """
 
-    depth: int
+    __slots__ = _fields = ("depth",)
 
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, depth: int):
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
+        self._store(depth=depth)
 
     def contains(self, scenario: ZeroSetScenario) -> bool:
         return all(scenario.bit(n) == 0 for n in range(self.depth))
@@ -187,7 +188,8 @@ def scenarios_at_chain_point(i: int) -> PrefixZeroScenarios:
 
 def _all_scenarios_with_support(bound: int) -> list[ZeroSetScenario]:
     if bound > SUPPORT_BUDGET:
-        raise ValueError(f"support bound {bound} exceeds {SUPPORT_BUDGET}: 2**{bound} scenarios")
+        raise ValueError(f"support bound {_quoted(bound)} exceeds {SUPPORT_BUDGET}: "
+                         f"2**{_quoted(bound)} scenarios")
     support = list(range(bound))
     out = []
     for mask in range(1 << bound):
@@ -210,6 +212,10 @@ def centred_family_report(depth: int, support_bound: int = 4) -> Report:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > DEPTH_BUDGET:
+        raise ValueError(f"depth {_quoted(depth)} exceeds {DEPTH_BUDGET}: "
+                         "every prefix of the chain is re-checked")
+    scenarios = _all_scenarios_with_support(support_bound)
     model = BinaryRowModel()
     report = Report("centred-family")
 
@@ -232,7 +238,7 @@ def centred_family_report(depth: int, support_bound: int = 4) -> Report:
 
     excluded = 0
     problems = []
-    for scenario in _all_scenarios_with_support(support_bound):
+    for scenario in scenarios:
         k = exclusion_witness(scenario, model)
         if scenarios_at_chain_point(k + 1).contains(scenario):
             problems.append(scenario)

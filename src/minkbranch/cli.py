@@ -5,7 +5,8 @@ checks), 1 at least one check failed (witnesses are printed) or stdout was
 closed early, 2 parse or usage errors (with the location in the model file
 or the argument).
 
-Each subcommand imports the modules it runs, so a call loads only those.
+Each subcommand, and each kind of `query`, imports the modules it runs, so
+a call loads only those: `query overlap` needs neither events nor histories.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    from . import events, histories
     model = _load_model(args.model)
     if args.what in ("order", "equiv"):
+        from . import events
         a = _parse_labeled(args.a, "--a", model)
         b = _parse_labeled(args.b, "--b", model)
         print(_bool_word((events.leq if args.what == "order" else events.glued)(model, a, b)))
@@ -133,6 +134,7 @@ def _cmd_query(args) -> int:
         x = _parse_point(_decode(args.point, "--point"), model.dimension, "--point")
         print(_bool_word(model.in_overlap(pair[0], pair[1], x)))
     else:  # history
+        from . import histories
         a = _parse_labeled(args.a, "--a", model)
         print(_bool_word(histories.in_history(model, a, histories.History(args.history))))
     return 0
@@ -167,6 +169,8 @@ def _cmd_axioms(args) -> int:
 def _cmd_counterexample(args) -> int:
     from . import binaryrow
     depth = args.depth
+    # the report refuses a depth or support past its cap before anything is printed
+    report = binaryrow.centred_family_report(depth, support_bound=args.support)
     scenarios = binaryrow._all_scenarios_with_support(args.support)
     print(f"binary-row chain to depth {depth}")
     print("declared infimum (-1/1, 0/1): below the whole row, glued for every scenario")
@@ -182,7 +186,6 @@ def _cmd_counterexample(args) -> int:
         print(f"  {scenario}: first 1 at position {k}; "
               f"splits from the chain label at (0/1, {k}/1), below z_{k + 1}")
     print()
-    report = binaryrow.centred_family_report(depth, support_bound=args.support)
     return _print_report(report)
 
 

@@ -16,27 +16,26 @@ space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import minkowski
 from .errors import ScenariosNotEnumerable
-from .minkowski import Point
+from .minkowski import Point, _set, _Value
 from .model import BranchingModel, ScenarioId
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
+class LabeledPoint(_Value):
     """A location together with the scenario it is considered in."""
 
-    point: Point
-    scenario: ScenarioId
+    __slots__ = _fields = ("point", "scenario")
+
+    def __init__(self, point: Point, scenario: ScenarioId):
+        _set(self, "point", point)
+        _set(self, "scenario", scenario)
 
     def __repr__(self) -> str:
         return f"{self.point!r}@{self.scenario!r}"
 
 
-@dataclass(frozen=True)
-class EventClass:
+class EventClass(_Value):
     """An event of the glued space: one location and its full label set.
 
     `representative` is the label the class was built from; it takes no
@@ -45,13 +44,13 @@ class EventClass:
     same_event().
     """
 
-    point: Point
-    labels: frozenset
-    representative: ScenarioId = field(compare=False)
+    _fields = ("point", "labels")
+    __slots__ = _fields + ("representative",)
 
-    def __post_init__(self):
-        if self.representative not in self.labels:
+    def __init__(self, point: Point, labels: frozenset, representative: ScenarioId):
+        if representative not in labels:
             raise ValueError("representative must belong to the label set")
+        self._store(point=point, labels=labels, representative=representative)
 
     def __repr__(self) -> str:
         shown = ",".join(sorted(repr(s) for s in self.labels))

@@ -20,12 +20,11 @@ truncated member lists; the oracle module cross-checks that.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch
-from .minkowski import IntegerForm, Point, format_rational, from_form, leq, lt, rational
+from .minkowski import IntegerForm, Point, _Value, format_rational, from_form, leq, lt, rational
 
 
 def zero_position(k) -> int:
@@ -59,6 +58,7 @@ class SplittingFamily:
     a reader may take a prefix through `members`, then one `index_members` at a time.
     """
 
+    __slots__ = ()
     is_finite: bool
     slr_by_construction: bool
     #: An infinite kind's least member index.
@@ -124,22 +124,20 @@ class SplittingFamily:
         return ()
 
 
-@dataclass(frozen=True)
-class FiniteFamily(SplittingFamily):
+class FiniteFamily(_Value, SplittingFamily):
     """An explicit finite splitting set (deduplicated, kept in sorted order)."""
 
-    points: tuple[Point, ...]
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self):
-        coerced = tuple(p if isinstance(p, Point) else Point(tuple(p))
-                        for p in self.points)
+    def __init__(self, points: tuple[Point, ...]):
+        coerced = tuple(p if isinstance(p, Point) else Point(tuple(p)) for p in points)
         pts = tuple(sorted(set(coerced), key=lambda p: p.coords))
         if pts:
             d = pts[0].dimension
             for p in pts:
                 if p.dimension != d:
                     raise ValueError("family members must share one dimension")
-        object.__setattr__(self, "points", pts)
+        self._store(points=pts)
 
     is_finite = True
     slr_by_construction = False
@@ -166,7 +164,7 @@ class FiniteFamily(SplittingFamily):
         return None
 
 
-class _SliceFamily(SplittingFamily):
+class _SliceFamily(_Value, SplittingFamily):
     """A planar kind whose members lie on the time slice p/q, at positions (o + s)/q.
 
     A member at offset s from the origin o/q lies strictly below x exactly
@@ -175,6 +173,7 @@ class _SliceFamily(SplittingFamily):
     answered here from it, and only `first_strictly_below` builds the member.
     """
 
+    __slots__ = ()
     slr_by_construction = True
     dimension = 2
     #: The slice as integers (q, p, o): time p/q, position origin o/q.
@@ -215,16 +214,15 @@ class _SliceFamily(SplittingFamily):
         return self._first_below(x) is not None
 
 
-@dataclass(frozen=True)
 class IntegerRow(_SliceFamily):
     """All points (t0, n) for natural n, on one simultaneity slice of the plane."""
 
-    t0: Fraction
+    _fields = ("t0",)
+    __slots__ = _fields + ("_slice",)
 
-    def __post_init__(self):
-        t0 = rational(self.t0)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "_slice", (t0.denominator, t0.numerator, 0))
+    def __init__(self, t0: Fraction):
+        t0 = rational(t0)
+        self._store(t0=t0, _slice=(t0.denominator, t0.numerator, 0))
 
     is_finite = False
     first_index = 0
@@ -251,7 +249,6 @@ class IntegerRow(_SliceFamily):
         return self.members_needed((d, (times[-1], *position)))
 
 
-@dataclass(frozen=True)
 class HarmonicPair(_SliceFamily):
     """Two rows of points center +- (0, 1/n), accumulating at the center.
 
@@ -259,15 +256,16 @@ class HarmonicPair(_SliceFamily):
     sides, which is what makes it an emergent (non-generated) choice point.
     """
 
-    center: Point
+    _fields = ("center",)
+    __slots__ = _fields + ("_slice",)
 
-    def __post_init__(self):
-        if not isinstance(self.center, Point):
-            object.__setattr__(self, "center", Point(tuple(self.center)))
-        if self.center.dimension != 2:
+    def __init__(self, center: Point):
+        if not isinstance(center, Point):
+            center = Point(tuple(center))
+        if center.dimension != 2:
             raise ValueError("HarmonicPair lives in two dimensions")
-        dc, (c0, c1) = self.center.form
-        object.__setattr__(self, "_slice", (dc, c0, c1))
+        dc, (c0, c1) = center.form
+        self._store(center=center, _slice=(dc, c0, c1))
 
     is_finite = False
     first_index = 1
@@ -318,28 +316,24 @@ class HarmonicPair(_SliceFamily):
         return (self.center,)
 
 
-@dataclass(frozen=True)
 class DifferenceRow(_SliceFamily):
     """Splitting points of two binary sequences: (0, j) where their bits differ.
 
     A sequence is encoded by its finite set of zero positions, so the
     difference positions are the symmetric difference of the two sets,
-    which is always finite.
+    which is always finite.  `positions` is compared and shown, `points`
+    (the members, from the positions) is not.
     """
 
-    zeros_a: frozenset[int]
-    zeros_b: frozenset[int]
-    positions: tuple[int, ...] = field(init=False)
-    points: tuple[Point, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("zeros_a", "zeros_b", "positions")
+    __slots__ = _fields + ("points",)
 
-    def __post_init__(self):
-        za = frozenset(map(zero_position, self.zeros_a))
-        zb = frozenset(map(zero_position, self.zeros_b))
+    def __init__(self, zeros_a: frozenset[int], zeros_b: frozenset[int]):
+        za = frozenset(map(zero_position, zeros_a))
+        zb = frozenset(map(zero_position, zeros_b))
         positions = tuple(sorted(za ^ zb))
-        object.__setattr__(self, "zeros_a", za)
-        object.__setattr__(self, "zeros_b", zb)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "points", tuple(from_form(1, (0, j)) for j in positions))
+        self._store(zeros_a=za, zeros_b=zb, positions=positions,
+                    points=tuple(from_form(1, (0, j)) for j in positions))
 
     is_finite = True
     _slice = (1, 0, 0)

@@ -16,27 +16,30 @@ the pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import events, minkowski
 from .errors import ScenariosNotEnumerable, WitnessNotFound
 from .events import LabeledPoint
 from .families import SplittingFamily
-from .minkowski import Point
+from .minkowski import Point, _Value
 from .model import BranchingModel, Model, ScenarioId, validate_model
 from .reporting import Report
-from .sampling import Sampler, SamplerConfig
+
+if TYPE_CHECKING:
+    from .sampling import Sampler, SamplerConfig
 
 
-@dataclass(frozen=True)
-class History:
+class History(_Value):
     """The history selected by one scenario label."""
 
-    scenario: ScenarioId
+    __slots__ = _fields = ("scenario",)
+
+    def __init__(self, scenario: ScenarioId):
+        self._store(scenario=scenario)
 
 
-@dataclass(frozen=True)
-class ChainSample:
+class ChainSample(_Value):
     """A finite, strictly ascending sample of a chain of locations.
 
     Construction validates that consecutive points are strictly ordered,
@@ -44,19 +47,18 @@ class ChainSample:
     optional declared infimum must sit weakly below the first point.
     """
 
-    points: tuple[Point, ...]
-    declared_infimum: Point | None = None
+    __slots__ = _fields = ("points", "declared_infimum")
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    def __init__(self, points: tuple[Point, ...], declared_infimum: Point | None = None):
+        pts = tuple(points)
         if not pts:
             raise ValueError("a chain sample needs at least one point")
         for a, b in zip(pts, pts[1:]):
             if not minkowski.lt(a, b):
                 raise ValueError(f"chain points out of order: {a!r} before {b!r}")
-        object.__setattr__(self, "points", pts)
-        if self.declared_infimum is not None and not minkowski.leq(self.declared_infimum, pts[0]):
+        if declared_infimum is not None and not minkowski.leq(declared_infimum, pts[0]):
             raise ValueError("declared infimum does not precede the chain")
+        self._store(points=pts, declared_infimum=declared_infimum)
 
     @classmethod
     def from_points(cls, points, declared_infimum: Point | None = None) -> "ChainSample":
@@ -228,6 +230,7 @@ def run_axiom_suite(model: Model, config: SamplerConfig | None = None) -> Report
     not validate; the axioms are only meaningful over a genuine equivalence.
     Each axiom's check runs on `cases` drawn labels (pairs, for prior choice).
     """
+    from .sampling import Sampler, SamplerConfig
     config = config or SamplerConfig()
     report = Report("axiom-suite")
     validation = validate_model(model)

@@ -17,11 +17,13 @@ canonical, so equality compares forms; `coords` builds the tuple of
 `separation`, which gives the time offset and the squared spatial distance
 of two forms in integers; `translated` and `between` build the result's
 form from theirs.
+
+`_Value` is the base of the package's value types, `Point` among them: it
+gives equality, hashing, repr and immutability from each class's `_fields`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -63,18 +65,63 @@ def _lcm_form(coords: tuple[Fraction, ...]) -> IntegerForm:
     return d, tuple([c.numerator * (d // q) for c, q in zip(coords, dens)])
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Point:
+#: Stores a field of a `_Value` from its own `__init__`, past the refusing `__setattr__`.
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value: equal only to an instance of its own class whose
+    `_fields` are equal, hashed on them and shown as `Name(field=value, ...)`.
+    A field cannot be set or deleted.  A subclass lists its fields in `_fields`
+    and all it stores in `__slots__`, and stores them in its own `__init__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, **values) -> None:
+        """Store each value in the slot of its name."""
+        for name, value in values.items():
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy restore a (__dict__ or None, slot values) pair, or a bare __dict__
+        for values in state if isinstance(state, tuple) else (state,):
+            for name, value in (values or {}).items():
+                _set(self, name, value)
+
+
+class Point(_Value):
     """An event location: rational coordinates, time first, held as their integer form."""
 
     #: The integer form (D, nums), D the lcm of the coordinate denominators.
-    form: IntegerForm
+    __slots__ = _fields = ("form",)
 
     def __init__(self, coords: tuple):
         coerced = tuple(map(rational, coords))
         if len(coerced) < 2:
             raise ValueError("a point needs a time coordinate and at least one spatial coordinate")
-        object.__setattr__(self, "form", _lcm_form(coerced))
+        _set(self, "form", _lcm_form(coerced))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -97,6 +144,9 @@ class Point:
             raise DimensionMismatch("translation vector has wrong dimension")
         return _sum_point(self.form, other)
 
+    def __eq__(self, other):
+        return self.form == other.form if other.__class__ is self.__class__ else NotImplemented
+
     def __hash__(self) -> int:
         return hash((self.coords,))
 
@@ -118,7 +168,7 @@ def from_form(d: int, nums: tuple[int, ...]) -> Point:
         d //= g
         nums = tuple([n // g for n in nums])
     p = object.__new__(Point)
-    object.__setattr__(p, "form", (d, nums))
+    _set(p, "form", (d, nums))
     return p
 
 

@@ -18,7 +18,6 @@ and validation says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -29,7 +28,7 @@ from .families import (
     family_kind,
     is_empty,
 )
-from .minkowski import Point
+from .minkowski import Point, _Value
 from .reporting import Report
 
 ScenarioId = Hashable
@@ -157,11 +156,11 @@ class Model(BranchingModel):
                 f"families={len(self.entries)} entries)")
 
 
-@dataclass(frozen=True)
-class TriangleResult:
-    ok: bool
-    witness: Point | None
-    method: str
+class TriangleResult(_Value):
+    __slots__ = _fields = ("ok", "witness", "method")
+
+    def __init__(self, ok: bool, witness: Point | None, method: str):
+        self._store(ok=ok, witness=witness, method=method)
 
 
 def _check_truncation(truncate: int) -> None:

@@ -51,7 +51,6 @@ are excluded from agreement obligations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, groupby, product
@@ -63,7 +62,7 @@ from .errors import DimensionMismatch, GridBudgetExceeded
 from .events import LabeledPoint
 from .families import SplittingFamily
 from .histories import _is_family_choice_point
-from .minkowski import IntegerForm, Point, from_form, lattice, rational, separation
+from .minkowski import IntegerForm, Point, _Value, from_form, lattice, rational, separation
 from .model import BranchingModel, ScenarioId
 from .reporting import Report
 
@@ -71,19 +70,17 @@ from .reporting import Report
 GRID_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Value):
     """A rational box lattice: per-axis (lo, hi) bounds, a step, a member cap."""
 
-    box: tuple[tuple[Fraction, Fraction], ...]
-    step: Fraction
-    truncate: int = 1000
-    #: The box's integer lattice, from `minkowski.lattice`, computed once.
-    _lattice: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("box", "step", "truncate")
+    #: `_lattice`: the box's integer lattice, from `minkowski.lattice`, computed once.
+    __slots__ = _fields + ("_lattice",)
 
-    def __post_init__(self):
-        box = tuple((rational(lo), rational(hi)) for lo, hi in self.box)
-        step = rational(self.step)
+    def __init__(self, box: tuple[tuple[Fraction, Fraction], ...], step: Fraction,
+                 truncate: int = 1000):
+        box = tuple((rational(lo), rational(hi)) for lo, hi in box)
+        step = rational(step)
         if len(box) < 2:
             raise ValueError("grid needs a time axis and at least one spatial axis")
         if step <= 0:
@@ -91,11 +88,9 @@ class GridSpec:
         for lo, hi in box:
             if lo > hi:
                 raise ValueError("grid bounds out of order")
-        if self.truncate < 1:
+        if truncate < 1:
             raise ValueError("truncation must be at least 1")
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "_lattice", lattice(box, step))
+        self._store(box=box, step=step, truncate=truncate, _lattice=lattice(box, step))
         if prod(self._lattice[3]) > GRID_BUDGET:
             raise GridBudgetExceeded(
                 f"grid would exceed {GRID_BUDGET} points; shrink the box or coarsen the step")
@@ -178,14 +173,16 @@ def _line_spreads(forms, d, step, lows, counts):
         yield den, t * scale, spreads
 
 
-@dataclass(frozen=True)
-class OverlapScan:
-    #: The grid points in `GridSpec.points()` order, and which of them the scan kept.
-    grid_points: tuple[Point, ...]
-    kept: tuple[bool, ...]
-    adequate: bool
-    note: str
-    members: _MemberForms
+class OverlapScan(_Value):
+    #: The grid points in `GridSpec.points()` order, and which of them the scan kept;
+    #: `__dict__` holds the cached `points`.
+    _fields = ("grid_points", "kept", "adequate", "note", "members")
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, grid_points: tuple[Point, ...], kept: tuple[bool, ...], adequate: bool,
+                 note: str, members: _MemberForms):
+        self._store(grid_points=grid_points, kept=kept, adequate=adequate, note=note,
+                    members=members)
 
     @cached_property
     def points(self) -> frozenset[Point]:
@@ -217,13 +214,16 @@ def _flags(grid: GridSpec) -> tuple[bool, ...]:
     return tuple(sides * (rows - 1) + [True] * len(sides))
 
 
-@dataclass(frozen=True)
-class ChoiceScan:
-    candidates: tuple[Point, ...]
-    overlap: OverlapScan
-    #: Per grid point, in `GridSpec.points()` order: a candidate, and boundary-flagged.
-    is_candidate: tuple[bool, ...]
-    is_flagged: tuple[bool, ...]
+class ChoiceScan(_Value):
+    #: `is_candidate` and `is_flagged`: per grid point, in `GridSpec.points()` order, a
+    #: candidate, and boundary-flagged; `__dict__` holds the cached `flagged`.
+    _fields = ("candidates", "overlap", "is_candidate", "is_flagged")
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, candidates: tuple[Point, ...], overlap: OverlapScan,
+                 is_candidate: tuple[bool, ...], is_flagged: tuple[bool, ...]):
+        self._store(candidates=candidates, overlap=overlap, is_candidate=is_candidate,
+                    is_flagged=is_flagged)
 
     @cached_property
     def flagged(self) -> frozenset[Point]:

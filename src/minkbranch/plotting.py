@@ -7,25 +7,24 @@ the file says so in its <desc>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, _quoted
 from .histories import is_choice_point
-from .minkowski import Point, format_rational
+from .minkowski import Point, _Value, format_rational
 from .model import BranchingModel, ScenarioId
 from .oracle import GridSpec
 
 CSV_HEADER = "t,x,in_region,choice_point"
 
 
-@dataclass(frozen=True)
-class PlotCell:
-    t: Fraction
-    x: Fraction
-    location: Point
-    in_region: bool
-    choice_point: bool
+class PlotCell(_Value):
+    __slots__ = _fields = ("t", "x", "location", "in_region", "choice_point")
+
+    def __init__(self, t: Fraction, x: Fraction, location: Point, in_region: bool,
+                 choice_point: bool):
+        self._store(t=t, x=x, location=location, in_region=in_region,
+                    choice_point=choice_point)
 
 
 def _embed(t: Fraction, x: Fraction, dimension: int, axis: int,

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .minkowski import _Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Value):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._store(name=name, passed=passed, detail=detail)
 
     def line(self) -> str:
         mark = "ok" if self.passed else "FAIL"
@@ -17,13 +17,18 @@ class CheckResult:
         return f"{body} ({self.detail})" if self.detail else body
 
 
-@dataclass
-class Report:
-    title: str
-    results: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    #: Some passing check rests on a bounded enumeration; a PASS header says so.
-    bounded: bool = False
+class Report(_Value):
+    """A titled list of check results and notes; it grows as checks run."""
+
+    #: `bounded`: some passing check rests on a bounded enumeration; a PASS header says so.
+    __slots__ = _fields = ("title", "results", "notes", "bounded")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, title: str, results: list[CheckResult] | None = None,
+                 notes: list[str] | None = None, bounded: bool = False):
+        self.title, self.bounded = title, bounded
+        self.results = [] if results is None else results
+        self.notes = [] if notes is None else notes
 
     def add(self, name: str, passed: bool, detail: str = "") -> CheckResult:
         result = CheckResult(name, bool(passed), detail)

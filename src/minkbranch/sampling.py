@@ -10,12 +10,11 @@ no Fraction arithmetic per draw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .families import FiniteFamily
-from .minkowski import IntegerForm, Point, _sum_point, from_form, lattice, rational
+from .minkowski import IntegerForm, Point, _sum_point, _Value, from_form, lattice, rational
 from .model import Model
 
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -33,12 +32,12 @@ def default_box(dimension: int) -> Box:
     return tuple((-w, w) for _ in range(dimension))
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int = 0
-    cases: int = 1000
-    box: Box | None = None
-    step: Fraction = Fraction(1, 16)
+class SamplerConfig(_Value):
+    __slots__ = _fields = ("seed", "cases", "box", "step")
+
+    def __init__(self, seed: int = 0, cases: int = 1000, box: Box | None = None,
+                 step: Fraction = Fraction(1, 16)):
+        self._store(seed=seed, cases=cases, box=box, step=step)
 
     def resolved_box(self, dimension: int) -> Box:
         if self.box is None:

@@ -130,6 +130,14 @@ def test_generator_model_surface():
     assert events.same_event(model, lp, lp)
 
 
+def test_centred_family_report_caps_depth_and_support():
+    from minkbranch.binaryrow import DEPTH_BUDGET, SUPPORT_BUDGET
+    with pytest.raises(ValueError, match=f"exceeds {DEPTH_BUDGET}"):
+        centred_family_report(DEPTH_BUDGET + 1, support_bound=1)
+    with pytest.raises(ValueError, match=f"exceeds {SUPPORT_BUDGET}"):
+        centred_family_report(1, support_bound=SUPPORT_BUDGET + 1)
+
+
 def test_centred_family_report():
     report = centred_family_report(12, support_bound=5)
     assert report.passed, report.render()

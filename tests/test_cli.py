@@ -466,6 +466,22 @@ def test_counterexample_support_is_capped(capsys, support):
                    f"2**{support} scenarios\n")
 
 
+def test_counterexample_depth_is_capped(capsys):
+    # past the cap the report would re-check every prefix at O(depth**3); nothing is printed
+    depth = mb.binaryrow.DEPTH_BUDGET + 1
+    code, out, err = run(capsys, ["counterexample", "--depth", str(depth), "--support", "2"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: depth {depth} exceeds {depth - 1}: "
+                   "every prefix of the chain is re-checked\n")
+
+
+def test_counterexample_bounds_are_quoted_bounded(capsys):
+    huge = "1" + "0" * 4000
+    for argv in (["--depth", huge], ["--support", huge]):
+        code, out, err = run(capsys, ["counterexample", *argv])
+        assert (code, out) == (2, "") and len(err.encode()) < 300, err
+
+
 @pytest.mark.parametrize("fix", ["--fix=5=1", "--fix=-1=1/3", "--fix=0=0"])
 def test_plot_fix_outside_spatial_axes_is_usage_error(capsys, tmp_path, harmonic_path, fix):
     svg_path = tmp_path / "region.svg"

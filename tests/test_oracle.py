@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import compress, product
 from math import floor, prod
@@ -251,7 +250,6 @@ def test_cross_check_passes_on_random_battery():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HarmonicSkippingLargest(HarmonicPair):
     """Closed form that forgets the n = 1 members."""
 
@@ -262,7 +260,6 @@ class HarmonicSkippingLargest(HarmonicPair):
         )
 
 
-@dataclass(frozen=True)
 class IntegerRowDroppingLightlike(IntegerRow):
     """Closed form that wrongly demands a time-like connection."""
 
@@ -274,7 +271,6 @@ class IntegerRowDroppingLightlike(IntegerRow):
         )
 
 
-@dataclass(frozen=True)
 class FiniteSkippingFirst(FiniteFamily):
     """Closed form that ignores the first member."""
 
