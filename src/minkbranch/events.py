@@ -11,7 +11,9 @@ The induced order: one event weakly precedes another when their locations
 do in Minkowski order and the lower location is still glued across the two
 labels.  Restricted to a single label this collapses to the plain Minkowski
 order, which is what makes each history an isomorphic copy of the base
-space.
+space.  The order has one definition, `_leq` on plain locations and labels,
+and two entry points on labeled points or event classes, `leq` and `lt`;
+callers that already hold a location and a label call `_leq` directly.
 """
 
 from __future__ import annotations
@@ -93,17 +95,24 @@ def same_event(model: BranchingModel, a, b) -> bool:
     return glued(model, LabeledPoint(xa, sa), LabeledPoint(xb, sb))
 
 
-def leq(model: BranchingModel, lower, upper) -> bool:
-    """Induced weak order on events.
+def _leq(model: BranchingModel, x: Point, s: ScenarioId, y: Point, t: ScenarioId) -> bool:
+    """Does x labeled s weakly precede y labeled t in the induced order?
 
-    The lower location must Minkowski-precede the upper one, and the lower
-    location must still be glued across the two labels; otherwise the two
-    events live in histories that have already split below the upper point.
+    x must Minkowski-precede y, and x must still be glued across the two
+    labels; otherwise the two events live in histories that have already
+    split below y.
+    """
+    return minkowski.leq(x, y) and model.in_overlap(s, t, x)
+
+
+def leq(model: BranchingModel, lower, upper) -> bool:
+    """Induced weak order on events: `_leq` on the two representatives.
+
     Accepts labeled points or event classes (via their representatives).
     """
     x, s = _as_rep(lower)
     y, t = _as_rep(upper)
-    return minkowski.leq(x, y) and model.in_overlap(s, t, x)
+    return _leq(model, x, s, y, t)
 
 
 def lt(model: BranchingModel, lower, upper) -> bool:
@@ -112,6 +121,6 @@ def lt(model: BranchingModel, lower, upper) -> bool:
     Equal locations never give a strict step, because leq at one location
     already means the two labeled copies are one glued event.
     """
-    x, _ = _as_rep(lower)
-    y, _ = _as_rep(upper)
-    return x != y and leq(model, lower, upper)
+    x, s = _as_rep(lower)
+    y, t = _as_rep(upper)
+    return x != y and _leq(model, x, s, y, t)

@@ -20,10 +20,12 @@ truncated member lists; the oracle module cross-checks that.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import lcm
 
 from .errors import DimensionMismatch
+# No kind reads `lt`; it stays importable, as perfbench's tracer test patches `families.lt`.
 from .minkowski import IntegerForm, Point, _Value, format_rational, from_form, leq, lt, rational
 
 
@@ -49,9 +51,9 @@ def _unit_fraction_in(lo: int, hi: int, d: int) -> int | None:
 class SplittingFamily:
     """The protocol every family kind follows.
 
-    A kind writes `contains`, `file_data` and, where it has a closed form,
-    `first_strictly_below`; the other cone queries are derived here, once.
-    The planar kinds inherit both from `_SliceFamily` and write `_first_within`.
+    A kind writes `contains`, `file_data` and `first_strictly_below`; the
+    other cone queries are derived here, once.  The planar kinds inherit
+    the first and the last from `_SliceFamily` and write `_first_within`.
     A finite kind writes `members`.  An infinite kind writes `first_index`
     and `index_members`, from which `members` yields, `members_needed` and,
     where that bound can grow as a point descends, `members_needed_floor`;
@@ -106,11 +108,8 @@ class SplittingFamily:
         return 0
 
     def first_strictly_below(self, x: Point) -> Point | None:
-        """The first member strictly below x, by a linear member scan."""
-        for m in self.members():
-            if lt(m, x):
-                return m
-        return None
+        """The first member strictly below x, in the kind's own order, or None."""
+        raise NotImplementedError
 
     def any_strictly_below(self, x: Point) -> bool:
         return self.first_strictly_below(x) is not None
@@ -125,9 +124,14 @@ class SplittingFamily:
 
 
 class FiniteFamily(_Value, SplittingFamily):
-    """An explicit finite splitting set (deduplicated, kept in sorted order)."""
+    """An explicit finite splitting set (deduplicated, kept in sorted order).
 
-    __slots__ = _fields = ("points",)
+    `_forms`, not compared or shown, holds the members' integer forms over one
+    common denominator, (D, nums per member), in `points` order: time first.
+    """
+
+    _fields = ("points",)
+    __slots__ = _fields + ("_forms",)
 
     def __init__(self, points: tuple[Point, ...]):
         coerced = tuple(p if isinstance(p, Point) else Point(tuple(p)) for p in points)
@@ -137,7 +141,9 @@ class FiniteFamily(_Value, SplittingFamily):
             for p in pts:
                 if p.dimension != d:
                     raise ValueError("family members must share one dimension")
-        self._store(points=pts)
+        den = lcm(*(p.form[0] for p in pts))
+        self._store(points=pts, _forms=(den, tuple(
+            tuple([n * (den // dp) for n in nums]) for dp, nums in (p.form for p in pts))))
 
     is_finite = True
     slr_by_construction = False
@@ -151,6 +157,23 @@ class FiniteFamily(_Value, SplittingFamily):
 
     def contains(self, x: Point) -> bool:
         return x in self.points
+
+    def first_strictly_below(self, x: Point) -> Point | None:
+        # m < x: dt = x0 - m0 > 0 and the squared spatial distance is at most
+        # dt**2, both over D * Dx, as in `minkowski.separation`
+        d, forms = self._forms
+        dx, (x0, *xs) = x.form
+        if forms and len(forms[0]) != len(xs) + 1:
+            raise DimensionMismatch(f"points have dimensions {len(forms[0])} and {len(xs) + 1}")
+        x0 *= d
+        xs = [c * d for c in xs]
+        for m, (m0, *ms) in zip(self.points, forms):
+            dt = x0 - m0 * dx
+            if dt <= 0:
+                return None
+            if sum([(c - n * dx) ** 2 for c, n in zip(xs, ms)]) <= dt * dt:
+                return m
+        return None
 
     def file_data(self) -> dict:
         return {"points": [_format_point(p) for p in self.points]}

@@ -16,7 +16,7 @@ the pair).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
 
 from . import events, minkowski
 from .errors import ScenariosNotEnumerable, WitnessNotFound
@@ -26,6 +26,7 @@ from .minkowski import Point, _Value
 from .model import BranchingModel, Model, ScenarioId, validate_model
 from .reporting import Report
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .sampling import Sampler, SamplerConfig
 
@@ -168,19 +169,24 @@ def prior_choice_witness(model: BranchingModel, a: ScenarioId, b: ScenarioId,
 # ---------------------------------------------------------------------------
 # Axiom suite
 # ---------------------------------------------------------------------------
+# The checks ask the induced order through `events._leq` on their points and
+# labels; a strict step x < y is x != y and `_leq`, as in `events.lt`.
 
 
 def _density(model: Model, sampler: Sampler, s: ScenarioId):
     x = sampler.point()
     y = sampler.point_above(x)
-    lo, mid, hi = (LabeledPoint(p, s) for p in (x, minkowski.between(x, y), y))
-    return None if events.lt(model, lo, mid) and events.lt(model, mid, hi) else (x, y)
+    mid = minkowski.between(x, y)
+    ok = (x != mid and events._leq(model, x, s, mid, s)
+          and mid != y and events._leq(model, mid, s, y, s))
+    return None if ok else (x, y)
 
 
-def _no_maximal(model: Model, sampler: Sampler, s: ScenarioId):
+def _no_maximal(model: Model, sampler: Sampler, s: ScenarioId, *, up: Point):
+    # `up`: the unit time step, built once per suite
     x = sampler.point()
-    above = x.translated(minkowski.point(1, *[0] * (model.dimension - 1)))
-    return None if events.lt(model, LabeledPoint(x, s), LabeledPoint(above, s)) else x
+    above = x.translated(up)
+    return None if x != above and events._leq(model, x, s, above, s) else x
 
 
 def _infimum(model: Model, sampler: Sampler, s: ScenarioId):
@@ -188,10 +194,10 @@ def _infimum(model: Model, sampler: Sampler, s: ScenarioId):
     # and dominates sampled lower bounds, all through the event order.
     chain = sampler.ascending_chain(sampler.rng.randint(2, 5))
     inf = chain[0]
-    ok = all(events.leq(model, LabeledPoint(inf, s), LabeledPoint(p, s)) for p in chain)
+    ok = all(events._leq(model, inf, s, p, s) for p in chain)
     for _ in range(3):
         bound = sampler.point_below(inf)
-        ok = ok and events.leq(model, LabeledPoint(bound, s), LabeledPoint(inf, s))
+        ok = ok and events._leq(model, bound, s, inf, s)
     return None if ok else tuple(chain)
 
 
@@ -205,11 +211,10 @@ def _supremum(model: Model, sampler: Sampler, s: ScenarioId):
     ok = True
     for t in model.scenario_list():
         if model.in_overlap(s, t, sup):
-            ok = ok and all(
-                events.leq(model, LabeledPoint(p, s), LabeledPoint(sup, t)) for p in chain)
+            ok = ok and all(events._leq(model, p, s, sup, t) for p in chain)
             for _ in range(2):
                 upper = sampler.point_above(sup)
-                ok = ok and events.leq(model, LabeledPoint(sup, s), LabeledPoint(upper, t))
+                ok = ok and events._leq(model, sup, s, upper, t)
     return None if ok else tuple(chain)
 
 
@@ -245,9 +250,10 @@ def run_axiom_suite(model: Model, config: SamplerConfig | None = None) -> Report
     labels = model.scenario_list()
     pairs = [(a, b, first) for a, b in model.scenario_pairs()
              if (first := next(iter(model.family(a, b).members(limit=4)), None)) is not None]
+    up = minkowski.point(1, *[0] * (model.dimension - 1))
     axioms = (
         ("density", _density, labels, None),
-        ("no-maximal", _no_maximal, labels, None),
+        ("no-maximal", partial(_no_maximal, up=up), labels, None),
         ("chain-infima", _infimum, labels, None),
         ("chain-suprema", _supremum, labels,
          "within-label; cross-label suprema at choice points not certified"),

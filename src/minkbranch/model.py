@@ -18,8 +18,8 @@ and validation says so.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, MissingFamily, UnknownScenario, _quoted
 from .families import (
@@ -50,7 +50,7 @@ class BranchingModel:
         raise NotImplementedError
 
     def family(self, a: ScenarioId, b: ScenarioId) -> SplittingFamily:
-        """The pair's splitting family; both labels are checked first."""
+        """The pair's splitting family; an unknown label raises before a missing pair."""
         raise NotImplementedError
 
     def require_scenario(self, label: ScenarioId) -> None:
@@ -81,7 +81,10 @@ class Model(BranchingModel):
     the unordered-pair map is a validation check, not a representation
     guarantee, so a file that declares both (a,b) and (b,a) with different
     families loads fine and then fails validation.  Queries resolve to the
-    first entry for an unordered pair.
+    first entry for an unordered pair, through a table keyed by ordered
+    pairs, (a, b) and (b, a), that holds only pairs of two distinct declared
+    labels: a hit is the whole of `family`, and a miss takes the checked
+    path, which raises the error the pair earns.
 
     `state` is an opaque annotation; it is carried through serialization
     untouched and never interpreted.
@@ -111,11 +114,13 @@ class Model(BranchingModel):
         self.entries: tuple[tuple[tuple[ScenarioId, ScenarioId], SplittingFamily], ...] = tuple(
             ((a, b), fam) for (a, b), fam in entries
         )
-        self._resolved: dict[frozenset, SplittingFamily] = {}
+        self._pairs: dict[tuple[ScenarioId, ScenarioId], SplittingFamily] = {}
         for (a, b), fam in self.entries:
             if a == b:
                 raise ValueError(f"scenario {a!r} cannot split from itself")
-            self._resolved.setdefault(frozenset((a, b)), fam)
+            if {a, b} <= self._scenario_set:
+                self._pairs.setdefault((a, b), fam)
+                self._pairs.setdefault((b, a), fam)
         self.state = state
 
     def has_scenario(self, label: ScenarioId) -> bool:
@@ -125,15 +130,15 @@ class Model(BranchingModel):
         return self.scenarios
 
     def family(self, a: ScenarioId, b: ScenarioId) -> SplittingFamily:
+        try:
+            return self._pairs[a, b]
+        except (KeyError, TypeError):   # TypeError: an unhashable label
+            pass
         self.require_scenario(a)
         self.require_scenario(b)
         if a == b:
             raise ValueError("a scenario has no splitting family with itself")
-        try:
-            return self._resolved[frozenset((a, b))]
-        except KeyError:
-            raise MissingFamily(
-                f"no splitting family declared for {_quoted(a)}, {_quoted(b)}") from None
+        raise MissingFamily(f"no splitting family declared for {_quoted(a)}, {_quoted(b)}")
 
     def scenario_pairs(self) -> list[tuple[ScenarioId, ScenarioId]]:
         return list(combinations(self.scenarios, 2))

@@ -51,15 +51,14 @@ are excluded from agreement obligations.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, groupby, product
 from math import gcd, isqrt, lcm, prod
-from typing import Sequence
 
 from . import events, minkowski
 from .errors import DimensionMismatch, GridBudgetExceeded
-from .events import LabeledPoint
 from .families import SplittingFamily
 from .histories import _is_family_choice_point
 from .minkowski import IntegerForm, Point, _Value, from_form, lattice, rational, separation
@@ -367,7 +366,7 @@ def cross_check_scans(model: BranchingModel, grid: GridSpec, pairs=None,
             k = (i * 7919) % n
             x, y = grid_pts[k], grid_pts[(i * 104729 + 13) % n]
             expected = minkowski.leq(x, y) and kept[k]
-            actual = events.leq(model, LabeledPoint(x, a), LabeledPoint(y, b))
+            actual = events._leq(model, x, a, y, b)
             if actual != expected:
                 order_bad.append((x, y))
         report.add(f"order {tag}", not order_bad,

@@ -93,11 +93,15 @@ def render_svg(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: GridSp
     width = margin * 2 + cell_px * len(xs)
     height = margin * 2 + cell_px * len(ts)
 
-    def px(x: Fraction) -> float:
-        return margin + (float(x) - float(xs[0])) / float(grid.step) * cell_px
+    left, top, step = float(xs[0]), float(ts[-1]), float(grid.step)
 
-    def py(t: Fraction) -> float:
-        return margin + (float(ts[-1]) - float(t)) / float(grid.step) * cell_px
+    # px and py also take a member's coordinate n / D as a float: an integer
+    # true division is correctly rounded, so it equals float(Fraction(n, D))
+    def px(x: Fraction | float) -> float:
+        return margin + (float(x) - left) / step * cell_px
+
+    def py(t: Fraction | float) -> float:
+        return margin + (top - float(t)) / step * cell_px
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -119,16 +123,20 @@ def render_svg(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: GridSp
             f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="#cfe3f7"/>')
 
     family = model.family(a, b)
-    fixed = dict(fixed or {})
+    # A member's form (D, nums) is compared with the box and the fixed values
+    # in integers: n / D against p / q as n * q against p * D.
+    (t0, q0), (t1, q1), (x0, r0), (x1, r1) = (
+        (v.numerator, v.denominator) for v in (ts[0], ts[-1], xs[0], xs[-1]))
+    pinned = [(i, v.numerator, v.denominator) for i, v in (fixed or {}).items()]
     for m in family.members(limit=grid.truncate):
-        c = m.coords
-        mx, mt = c[axis], c[0]
-        if not (ts[0] <= mt <= ts[-1] and xs[0] <= mx <= xs[-1]):
+        d, nums = m.form
+        t, x = nums[0], nums[axis]
+        if not (t0 * d <= t * q0 and t * q1 <= t1 * d and x0 * d <= x * r0 and x * r1 <= x1 * d):
             continue
-        if any(c[i] != v for i, v in fixed.items()):
+        if any(nums[i] * q != p * d for i, p, q in pinned):
             continue
         out.append(
-            f'  <circle cx="{px(mx):.2f}" cy="{py(mt):.2f}" r="3.00" fill="#1f4e79"/>')
+            f'  <circle cx="{px(x / d):.2f}" cy="{py(t / d):.2f}" r="3.00" fill="#1f4e79"/>')
 
     for cell in cells:
         if not cell.choice_point:

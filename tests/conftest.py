@@ -79,7 +79,10 @@ def reference_contains(family, x) -> bool:
 
 
 def reference_first_strictly_below(family, x):
-    """`first_strictly_below` of the three planar kinds, on the Fraction coordinates."""
+    """`first_strictly_below` of every kind: a linear member scan for a FiniteFamily,
+    the three planar kinds on the Fraction coordinates."""
+    if isinstance(family, mb.FiniteFamily):
+        return next((m for m in family.members() if minkowski.lt(m, x)), None)
     if x.dimension != 2:
         raise DimensionMismatch("this family kind lives in two dimensions")
     t, u = x.coords

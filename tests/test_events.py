@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,9 @@ from minkbranch import events
 from minkbranch.events import EventClass, LabeledPoint, event_class, glued, same_event
 from minkbranch.minkowski import point
 
-from conftest import build_random_battery
+from conftest import build_random_battery, reference_leq
+
+MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
 def lp(t, x, s):
@@ -130,3 +134,33 @@ def test_induced_order_is_partial_order_on_validated_models():
         for a, b, c in zip(pts, pts[1:], pts[2:]):
             if events.leq(m, a, b) and events.leq(m, b, c):
                 assert events.leq(m, a, c), (m, a, b, c)
+
+
+def test_kernel_and_both_entry_points_agree():
+    # the demo models, random draws and a difference-row model; same label and across labels
+    rows = {f"z{i}": frozenset(z) for i, z in enumerate(((), (0,), (0, 1, 2), (1, 3, 4, 5)))}
+    models = [mb.load(MODELS / f"{name}.mbs") for name in
+              ("harmonic", "integer_row", "two_scenarios", "triangle_violation")]
+    models += build_random_battery()
+    models.append(mb.Model(2, list(rows), [((a, b), mb.DifferenceRow(rows[a], rows[b]))
+                                           for a, b in itertools.combinations(rows, 2)]))
+    rng = random.Random(25)
+    seen = set()
+    for m in models:
+        for _ in range(150):
+            x = point(F(rng.randint(-8, 8), 4), F(rng.randint(-8, 8), 4))
+            dt = F(rng.randint(-2, 8), 4)
+            y = x.translated((dt, F(rng.randint(-8, 8), 8) * abs(dt)))
+            s = rng.choice(m.scenarios)
+            t = s if rng.random() < 0.3 else rng.choice(m.scenarios)
+            kernel = events._leq(m, x, s, y, t)
+            assert kernel == (reference_leq(x, y) and m.in_overlap(s, t, x)), (m, x, s, y, t)
+            a, b = LabeledPoint(x, s), LabeledPoint(y, t)
+            ca, cb = event_class(m, a), event_class(m, b)
+            for lower, upper in ((a, b), (ca, b), (a, cb), (ca, cb)):
+                assert events.leq(m, lower, upper) == kernel
+                assert events.lt(m, lower, upper) == (x != y and kernel)
+            seen.add((s == t, kernel, x == y))
+    assert {(same, k) for same, k, _ in seen} == {(True, True), (True, False), (False, True),
+                                                   (False, False)}
+    assert (False, True, True) in seen and (True, True, True) in seen

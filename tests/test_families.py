@@ -10,7 +10,6 @@ from minkbranch.families import (
     FiniteFamily,
     HarmonicPair,
     IntegerRow,
-    SplittingFamily,
     _SliceFamily,
     family_kind,
     is_empty,
@@ -219,11 +218,51 @@ def test_difference_row_first_strictly_below_matches_member_scan():
                             frozenset(rng.sample(range(12), rng.randint(0, 6))))
         q = rng.choice((1, 2, 3, 4, 7))
         x = point(F(rng.randint(-8, 30), q), F(rng.randint(-30, 60), q))
-        # the linear scan that FiniteFamily keeps is the reference
-        assert fam.first_strictly_below(x) == SplittingFamily.first_strictly_below(fam, x), (fam, x)
+        assert fam.first_strictly_below(x) == reference_first_strictly_below(fam, x), (fam, x)
     for fam in (DifferenceRow(frozenset({1}), frozenset()), DifferenceRow(frozenset(), frozenset())):
         with pytest.raises(DimensionMismatch):
             fam.first_strictly_below(point(1, 0, 0))
+
+
+def test_finite_first_strictly_below_matches_member_scan():
+    # 2-D to 4-D families, members sharing times, probes that are members, lie on a
+    # member's light cone, sit below every member or are random; the empty family too
+    rng = random.Random(25)
+    seen = {"member": 0, "lightlike": 0, "earliest": 0, "shared time": 0, "found": 0}
+    for _ in range(3000):
+        dim = rng.randint(2, 4)
+        times = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 3))]
+        fam = FiniteFamily(tuple(
+            point(rng.choice(times), *(F(rng.randint(-6, 6), rng.choice((1, 2, 5)))
+                                       for _ in range(dim - 1)))
+            for _ in range(rng.randint(0, 6))))
+        probe = "random"
+        if fam.points:
+            probe = rng.choice(("member", "lightlike", "earliest", "random"))
+        if probe == "member":
+            x = rng.choice(fam.points)
+        elif probe == "lightlike":
+            r = F(rng.randint(1, 6), rng.choice((1, 2, 7)))
+            x = rng.choice(fam.points).translated((r, r * rng.choice((1, -1)), *[0] * (dim - 2)))
+        elif probe == "earliest":
+            x = point(fam.points[0].time - F(1, 3), *[0] * (dim - 1))
+        else:
+            x = point(*(F(rng.randint(-12, 12), rng.choice((1, 3, 4))) for _ in range(dim)))
+        first = fam.first_strictly_below(x)
+        reference = reference_first_strictly_below(fam, x)
+        assert first == reference and (first is None or first is reference), (fam, x)
+        seen[probe] = seen.get(probe, 0) + 1
+        seen["found"] += first is not None
+        seen["shared time"] += len({p.time for p in fam.points}) < len(fam.points)
+    assert min(seen.values()) > 200, seen
+    assert FiniteFamily(()).first_strictly_below(point(1, 0, 0, 0)) is None
+    fam = FiniteFamily((point(0, 0, 0), point(1, 2, 3)))
+    for x in (point(5, 0), point(-5, 0, 0, 0)):
+        text = f"^points have dimensions 3 and {x.dimension}$"
+        with pytest.raises(DimensionMismatch, match=text):
+            fam.first_strictly_below(x)
+        with pytest.raises(DimensionMismatch, match=text):
+            reference_first_strictly_below(fam, x)
 
 
 @pytest.mark.parametrize("bad", [-1, True])

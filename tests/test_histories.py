@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from minkbranch.minkowski import point
 from minkbranch.sampling import Sampler, SamplerConfig
 
 from conftest import build_random_battery, history_order_agrees
+
+MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
 def test_chain_sample_validation():
@@ -134,6 +139,51 @@ def test_axiom_suite_on_random_battery():
     for m in build_random_battery():
         report = run_axiom_suite(m, SamplerConfig(seed=8, cases=100))
         assert report.passed, report.render()
+
+
+# Per model, the first 16 hex digits of the SHA-256 of repr(rng.getstate()) of the
+# suite's sampler once the suite has run (seed 11 + index, 80 cases): the suite
+# draws the same numbers, in the same order, however its checks are written.
+SUITE_DRAWS = {
+    "harmonic": "fbe58b43701e8e04",
+    "integer_row": "ee001885cc74d35a",
+    "two_scenarios": "e3a5d6cd7c2873b6",
+    "random0": "4b35685d9532d34b",
+    "random1": "251b5aea1c4133ff",
+    "random2": "c684dc0c3682b8de",
+    "random3": "83aeafcdfdd6891b",
+    "random4": "d0a2a8f7160f1861",
+    "random5": "ebe3123d67a245d6",
+    "difference_row": "2ba67617f8aea6ba",
+    "finite_3d": "9da0da7ce6c2c15e",
+}
+
+
+def test_axiom_suite_draw_stream_is_pinned(monkeypatch):
+    built = []
+
+    class Capturing(Sampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(mb.sampling, "Sampler", Capturing)
+    named = [(name, mb.load(MODELS / f"{name}.mbs"))
+             for name in ("harmonic", "integer_row", "two_scenarios")]
+    named += [(f"random{i}", m) for i, m in enumerate(build_random_battery())]
+    rows = {f"z{i}": frozenset(z) for i, z in enumerate(((), (0,), (0, 1, 2), (1, 3, 4, 5)))}
+    named.append(("difference_row", mb.Model(2, list(rows), [
+        ((a, b), mb.DifferenceRow(rows[a], rows[b])) for a, b in itertools.combinations(rows, 2)])))
+    fam = mb.FiniteFamily((point(0, 0, 0), point(0, F(1, 2), 0), point(F(1, 4), F(-1, 4), F(1, 2))))
+    named.append(("finite_3d", mb.Model(3, ("a", "b", "c"),
+                                        {("a", "b"): fam, ("b", "c"): fam, ("a", "c"): fam})))
+    draws = {}
+    for i, (name, m) in enumerate(named):
+        built.clear()
+        report = run_axiom_suite(m, SamplerConfig(seed=11 + i, cases=80))
+        assert report.passed and len(built) == 1, (name, report.render())
+        draws[name] = hashlib.sha256(repr(built[0].rng.getstate()).encode()).hexdigest()[:16]
+    assert draws == SUITE_DRAWS
 
 
 def test_generator_model_scenarios_not_enumerable():

@@ -73,7 +73,7 @@ def test_in_overlap_checks_each_label_once(two_scenario_model):
 
     m = Counting(2, ("s1", "s2"), two_scenario_model.entries)
     assert not m.in_overlap("s1", "s2", point(1, 0))
-    assert checked == ["s1", "s2"]
+    assert checked == []        # a pair-table hit proves both labels declared
     # the same-scenario shortcut still checks its label, before the dimension
     with pytest.raises(UnknownScenario):
         m.in_overlap("nope", "nope", point(0, 0, 0))
@@ -90,6 +90,66 @@ def test_family_lookup_is_symmetric_and_first_wins():
     report = validate_model(m)
     assert not report.passed
     assert not check_names(report)["symmetry"]
+
+
+# (a, b) -> the outcome of family(a, b) and of in_overlap(a, b, (1, 0)): the exception's
+# type name and text, or "ok", on a model whose second entry names an undeclared label
+LOOKUP_OUTCOMES = [
+    (("nope", "a"), ("UnknownScenario", "unknown scenario 'nope'"),
+     ("UnknownScenario", "unknown scenario 'nope'")),
+    (("a", "nope"), ("UnknownScenario", "unknown scenario 'nope'"),
+     ("UnknownScenario", "unknown scenario 'nope'")),
+    (("nope", "nope"), ("UnknownScenario", "unknown scenario 'nope'"),
+     ("UnknownScenario", "unknown scenario 'nope'")),
+    (("a", "a"), ("ValueError", "a scenario has no splitting family with itself"), "ok"),
+    (("b", "zz"), ("UnknownScenario", "unknown scenario 'zz'"),
+     ("UnknownScenario", "unknown scenario 'zz'")),
+    (("zz", "b"), ("UnknownScenario", "unknown scenario 'zz'"),
+     ("UnknownScenario", "unknown scenario 'zz'")),
+    (("a", "c"), ("MissingFamily", "no splitting family declared for 'a', 'c'"),
+     ("MissingFamily", "no splitting family declared for 'a', 'c'")),
+    (("c", "a"), ("MissingFamily", "no splitting family declared for 'c', 'a'"),
+     ("MissingFamily", "no splitting family declared for 'c', 'a'")),
+    ((["x"], "a"), ("TypeError", "unhashable type: 'list'"),
+     ("TypeError", "unhashable type: 'list'")),
+    (("a", ["x"]), ("TypeError", "unhashable type: 'list'"),
+     ("TypeError", "unhashable type: 'list'")),
+    # the first label is checked first, as before the pair table
+    (("nope", ["x"]), ("UnknownScenario", "unknown scenario 'nope'"),
+     ("UnknownScenario", "unknown scenario 'nope'")),
+    ((["x"], ["x"]), ("TypeError", "unhashable type: 'list'"),
+     ("TypeError", "unhashable type: 'list'")),
+    (({}, "nope"), ("TypeError", "unhashable type: 'dict'"),
+     ("TypeError", "unhashable type: 'dict'")),
+    (("a", "b"), "ok", "ok"),
+    (("b", "a"), "ok", "ok"),
+    ((1, "b"), "ok", "ok"),
+    ((True, "b"), "ok", "ok"),      # equal labels hash equal
+]
+
+
+@pytest.mark.parametrize("pair, family_outcome, overlap_outcome", LOOKUP_OUTCOMES,
+                         ids=[repr(pair) for pair, _, _ in LOOKUP_OUTCOMES])
+def test_family_and_in_overlap_raise_the_checked_paths_errors(pair, family_outcome,
+                                                              overlap_outcome):
+    fam = mb.FiniteFamily((point(0, 0),))
+    m = mb.Model(2, ("a", "b", "c", 1), [(("a", "b"), fam), (("b", "zz"), fam), ((1, "b"), fam)])
+    for call, expected in ((lambda: m.family(*pair), family_outcome),
+                           (lambda: m.in_overlap(*pair, point(1, 0)), overlap_outcome)):
+        try:
+            call()
+            outcome = "ok"
+        except Exception as exc:    # noqa: BLE001 - the outcome under test is any exception
+            outcome = (type(exc).__name__, str(exc))
+        assert outcome == expected
+
+
+def test_unhashable_entry_labels_fail_construction():
+    fam = mb.FiniteFamily((point(0, 0),))
+    for entries in ([(("zz", ["x"]), fam)], [((["x"], "a"), fam)],
+                    [(("a", "zz"), fam), (("b", ["x"]), fam)]):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            mb.Model(2, ("a", "b"), entries)
 
 
 def test_missing_family_raises():

@@ -124,3 +124,21 @@ def test_modules_and_a_cli_call_load_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert json.loads(proc.stdout) == []
+
+
+def test_modules_and_a_cli_call_do_not_load_typing():
+    # the package's annotations stay unevaluated; its run-time abstract types come from
+    # collections.abc.  -S again keeps out what `site` imports (a .pth file may import typing).
+    code = ("import contextlib, importlib, io, os, sys, minkbranch\n"
+            "for name in sorted(os.listdir(minkbranch.__path__[0])):\n"
+            "    if name.endswith('.py') and not name.startswith('__'):\n"
+            "        importlib.import_module('minkbranch.' + name[:-3])\n"
+            "from minkbranch import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['validate', '--model', {str(MODELS / 'two_scenarios.mbs')!r}])"
+            " == 0\n"
+            "print('typing' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "False\n"
