@@ -128,6 +128,8 @@ def render_svg(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: GridSp
     (t0, q0), (t1, q1), (x0, r0), (x1, r1) = (
         (v.numerator, v.denominator) for v in (ts[0], ts[-1], xs[0], xs[-1]))
     pinned = [(i, v.numerator, v.denominator) for i, v in (fixed or {}).items()]
+    # Members that round to one pixel position share one marker line.
+    markers = set()
     for m in family.members(limit=grid.truncate):
         d, nums = m.form
         t, x = nums[0], nums[axis]
@@ -135,8 +137,10 @@ def render_svg(model: BranchingModel, a: ScenarioId, b: ScenarioId, grid: GridSp
             continue
         if any(nums[i] * q != p * d for i, p, q in pinned):
             continue
-        out.append(
-            f'  <circle cx="{px(x / d):.2f}" cy="{py(t / d):.2f}" r="3.00" fill="#1f4e79"/>')
+        marker = f'  <circle cx="{px(x / d):.2f}" cy="{py(t / d):.2f}" r="3.00" fill="#1f4e79"/>'
+        if marker not in markers:
+            markers.add(marker)
+            out.append(marker)
 
     for cell in cells:
         if not cell.choice_point:

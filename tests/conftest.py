@@ -5,6 +5,7 @@ from math import ceil, floor, isqrt
 import pytest
 
 import minkbranch as mb
+from minkbranch import binaryrow as br
 from minkbranch import events, minkowski
 from minkbranch.errors import DimensionMismatch
 from minkbranch.events import LabeledPoint
@@ -208,6 +209,37 @@ def history_order_agrees(model, history, pairs) -> bool:
                 return False
     return True
 
+
+
+def reference_prefix_verdicts(depth):
+    """The centred-family chain and prefix verdicts at each depth 1..depth, by enumeration.
+
+    At depth d the chain must ascend over every pair up to d, and the
+    leading-zeros witness of each depth up to d must lie in every per-depth
+    set up to its own, by the closed form and through the real gluing
+    queries: O(depth**3) queries in all.
+    """
+    model = br.BinaryRowModel()
+    chain = br.chain_labeled(depth)
+    verdicts, chain_ok, prefix_ok = [], True, True
+    for upto in range(1, depth + 1):
+        chain_ok = chain_ok and all(events.lt(model, lower, chain[upto - 1])
+                                    for lower in chain[:upto - 1])
+        witness = br.ZeroSetScenario.leading_zeros(upto)
+        prefix_ok = prefix_ok and all(br.scenarios_at_chain_point(i).contains(witness)
+                                      for i in range(1, upto + 1))
+        prefix_ok = prefix_ok and all(
+            model.in_overlap(witness, br.ZeroSetScenario.leading_zeros(i), z)
+            for i, z in enumerate(br.chain_points(upto), start=1))
+        verdicts.append((chain_ok, prefix_ok))
+    return verdicts
+
+
+def reference_exclusion_scan(support_bound):
+    """The scenarios with zeros in 0..support_bound-1 that their witness depth fails to exclude."""
+    model = br.BinaryRowModel()
+    return [s for s in br._all_scenarios_with_support(support_bound)
+            if br.scenarios_at_chain_point(br.exclusion_witness(s, model) + 1).contains(s)]
 
 class ReferenceSampler:
     """Lattice draws by the Fraction formulas, from the same seeded RNG as `Sampler`.

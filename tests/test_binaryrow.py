@@ -1,6 +1,8 @@
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
+from conftest import reference_exclusion_scan, reference_prefix_verdicts
 
 from minkbranch import binaryrow, events
 from minkbranch.binaryrow import (
@@ -17,6 +19,7 @@ from minkbranch.binaryrow import (
 )
 from minkbranch.errors import ScenariosNotEnumerable
 from minkbranch.events import LabeledPoint
+from minkbranch.families import DifferenceRow
 from minkbranch.minkowski import point
 
 
@@ -143,3 +146,48 @@ def test_centred_family_report():
     assert report.passed, report.render()
     names = [r.name for r in report.results]
     assert names == ["chain", "finite-intersections", "total-intersection"]
+    assert all(r.detail.startswith("closed form, every ") for r in report.results)
+
+
+def test_centred_family_report_agrees_with_enumeration():
+    # the chain lines read only the depth and the total line only the support,
+    # so cycling the support covers every depth 1..40 and every support 1..8
+    scans = {s: reference_exclusion_scan(s) for s in range(1, 9)}
+    for depth, (chain_ok, prefix_ok) in enumerate(reference_prefix_verdicts(40), start=1):
+        support = (depth - 1) % 8 + 1
+        verdicts = {r.name: r.passed for r in centred_family_report(depth, support).results}
+        assert verdicts == {"chain": chain_ok, "finite-intersections": prefix_ok,
+                            "total-intersection": not scans[support]}, (depth, support)
+        assert chain_ok and prefix_ok
+    assert not any(scans.values())
+
+
+def test_centred_family_report_never_passes_a_broken_cone_query(monkeypatch):
+    # every position counts as below: the chain's adjacent pairs come apart
+    def ignores_hi(self, lo, hi, d):
+        i = bisect_left(self.positions, -(-lo // d))
+        return (self.positions[i], 1) if i < len(self.positions) else None
+
+    monkeypatch.setattr(DifferenceRow, "_first_within", ignores_hi)
+    report = centred_family_report(4, 3)
+    assert not report.passed
+    assert [r.name for r in report.failures()][0] == "chain"
+
+    # no position is ever found: the exclusion witness cannot split
+    monkeypatch.setattr(DifferenceRow, "_first_within", lambda self, lo, hi, d: None)
+    with pytest.raises(RuntimeError):
+        centred_family_report(4, 3)
+
+
+@pytest.mark.parametrize("depth,support", [(1, 1), (20, 2), (60, 3), (100, 5)])
+def test_centred_family_report_makes_linearly_many_gluing_queries(monkeypatch, depth, support):
+    calls = []
+    real = BinaryRowModel.in_overlap
+
+    def counted(self, a, b, x):
+        calls.append(x)
+        return real(self, a, b, x)
+
+    monkeypatch.setattr(BinaryRowModel, "in_overlap", counted)
+    assert centred_family_report(depth, support).passed
+    assert len(calls) <= 2 * (depth + 2 ** support)

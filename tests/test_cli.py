@@ -230,6 +230,21 @@ def test_plot_command(capsys, tmp_path, harmonic_path):
     assert csv_path.read_text().startswith("t,x,in_region,choice_point\n")
 
 
+def test_plot_writes_each_member_marker_once(capsys, tmp_path):
+    # 200,000 harmonic members fall inside the box, on a few hundred pixel positions
+    model = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "harmonic.mbs")
+    svg_path = tmp_path / "region.svg"
+    code, out, _ = run(capsys, [
+        "plot", "--model", model, "--pair", "u,v", "--box", "-1/2,1/2", "-1/2,1/2",
+        "--step", "1/4", "--truncate", "100000", "--svg", str(svg_path),
+    ])
+    assert code == 0
+    lines = svg_path.read_text().splitlines()
+    assert len(lines) == len(set(lines))
+    assert sum('r="3.00"' in line for line in lines) > 300
+    assert svg_path.stat().st_size < 100_000
+
+
 def test_parse_error_exit_codes(capsys, tmp_path, two_path):
     bad = tmp_path / "bad.mbs"
     bad.write_text('{"dimension": 2, "scenarios": ["a"], "families": [], "x": 1}')
@@ -467,12 +482,12 @@ def test_counterexample_support_is_capped(capsys, support):
 
 
 def test_counterexample_depth_is_capped(capsys):
-    # past the cap the report would re-check every prefix at O(depth**3); nothing is printed
+    # one row is printed per depth; past the cap nothing is printed
     depth = mb.binaryrow.DEPTH_BUDGET + 1
     code, out, err = run(capsys, ["counterexample", "--depth", str(depth), "--support", "2"])
     assert (code, out) == (2, "")
     assert err == (f"error: depth {depth} exceeds {depth - 1}: "
-                   "every prefix of the chain is re-checked\n")
+                   "one row is printed per depth\n")
 
 
 def test_counterexample_bounds_are_quoted_bounded(capsys):
