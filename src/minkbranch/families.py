@@ -14,7 +14,8 @@ query once for all three, so the infinite kinds never need enumeration:
                     their finite zero sets) disagree
 
 Every closed form is obligated to agree with brute-force enumeration over
-truncated member lists; the oracle module cross-checks that.
+truncated member lists; the oracle module cross-checks that.  How a kind
+is written in a model file is the modelfile module's table, not the kind's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import lcm
 
 from .errors import DimensionMismatch
 # No kind reads `lt`; it stays importable, as perfbench's tracer test patches `families.lt`.
-from .minkowski import IntegerForm, Point, _Value, format_rational, from_form, leq, lt, rational
+from .minkowski import IntegerForm, Point, _Value, from_form, leq, lt, rational
 
 
 def zero_position(k) -> int:
@@ -34,10 +35,6 @@ def zero_position(k) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"zero positions must be nonnegative integers, got {k!r}")
     return k
-
-
-def _format_point(p: Point) -> list[str]:
-    return [format_rational(c) for c in p.coords]
 
 
 def _unit_fraction_in(lo: int, hi: int, d: int) -> int | None:
@@ -51,9 +48,9 @@ def _unit_fraction_in(lo: int, hi: int, d: int) -> int | None:
 class SplittingFamily:
     """The protocol every family kind follows.
 
-    A kind writes `contains`, `file_data` and `first_strictly_below`; the
-    other cone queries are derived here, once.  The planar kinds inherit
-    the first and the last from `_SliceFamily` and write `_first_within`.
+    A kind writes `contains` and `first_strictly_below`; the other cone
+    queries are derived here, once.  The planar kinds inherit both from
+    `_SliceFamily` and write `_first_within`.
     A finite kind writes `members`.  An infinite kind writes `first_index`
     and `index_members`, from which `members` yields, `members_needed` and,
     where that bound can grow as a point descends, `members_needed_floor`;
@@ -82,10 +79,6 @@ class SplittingFamily:
         return ()
 
     def contains(self, x: Point) -> bool:
-        raise NotImplementedError
-
-    def file_data(self) -> dict:
-        """The kind's "data" object in a model file."""
         raise NotImplementedError
 
     def members_needed(self, x: IntegerForm) -> int:
@@ -175,9 +168,6 @@ class FiniteFamily(_Value, SplittingFamily):
                 return m
         return None
 
-    def file_data(self) -> dict:
-        return {"points": [_format_point(p) for p in self.points]}
-
     def slr_violation(self) -> tuple[Point, Point] | None:
         """First ordered member pair, if the set is not pairwise space-like."""
         for i, a in enumerate(self.points):
@@ -259,9 +249,6 @@ class IntegerRow(_SliceFamily):
         n = max(0, -(-lo // d))
         return (n * self._slice[0], 1) if n * d <= hi else None
 
-    def file_data(self) -> dict:
-        return {"t0": format_rational(self.t0)}
-
     def members_needed(self, x: IntegerForm) -> int:
         # (t0, n) < x needs dt > 0 and n <= x1 + dt.
         d, dt, w = self._offsets(x)
@@ -305,9 +292,6 @@ class HarmonicPair(_SliceFamily):
             if n is not None:
                 return sign * self._slice[0], n
         return None
-
-    def file_data(self) -> dict:
-        return {"center": _format_point(self.center)}
 
     def members_needed(self, x: IntegerForm) -> int:
         # center +- (0, 1/n) < x needs dt > 0 and 1/n <= dt +- u; the first
@@ -370,9 +354,6 @@ class DifferenceRow(_SliceFamily):
         if i < len(self.positions) and self.positions[i] * d <= hi:
             return self.positions[i], 1
         return None
-
-    def file_data(self) -> dict:
-        return {"zeros_a": sorted(self.zeros_a), "zeros_b": sorted(self.zeros_b)}
 
 
 KIND_NAMES = {

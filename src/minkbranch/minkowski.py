@@ -148,7 +148,7 @@ class Point(_Value):
         return self.form == other.form if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.coords,))
+        return hash((self.form,))
 
     def __repr__(self) -> str:
         return "Point(%s)" % ", ".join(str(c) for c in self.coords)

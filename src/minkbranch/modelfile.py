@@ -19,6 +19,9 @@ Schema (all keys required unless noted):
       "state": anything        (optional; carried verbatim, never interpreted)
     }
 
+Each kind's "data" layout is spelled once, in the table `_DATA`: `loads`
+builds a family from it and `dumps` writes one.
+
 Unknown kinds and unknown keys are rejected with the location of the
 offense.  Loading is total over the schema, not over model semantics:
 a file that parses but fails validation loads fine and then fails
@@ -31,16 +34,8 @@ import json
 from fractions import Fraction
 
 from .errors import _QUOTED_CHARS, ModelFormatError, _cut, _quoted
-from .families import (
-    KIND_NAMES,
-    DifferenceRow,
-    FiniteFamily,
-    HarmonicPair,
-    IntegerRow,
-    SplittingFamily,
-    family_kind,
-)
-from .minkowski import Point, rational
+from .families import KIND_NAMES, DifferenceRow, FiniteFamily, HarmonicPair, IntegerRow, family_kind
+from .minkowski import Point, format_rational, rational
 from .model import Model
 
 
@@ -97,7 +92,12 @@ def _parse_point(value, dimension: int, location: str) -> Point:
         _parse_rational(c, f"{location}[{i}]") for i, c in enumerate(coords)))
 
 
-def _parse_zero_set(value, location: str) -> frozenset[int]:
+def _parse_points(value, dimension: int, location: str) -> tuple[Point, ...]:
+    raw = _expect(value, list, "an array of points", location)
+    return tuple(_parse_point(p, dimension, f"{location}[{i}]") for i, p in enumerate(raw))
+
+
+def _parse_zero_set(value, dimension: int, location: str) -> frozenset[int]:
     items = _expect(value, list, "an array of integers", location)
     out = set()
     for i, k in enumerate(items):
@@ -105,6 +105,21 @@ def _parse_zero_set(value, location: str) -> frozenset[int]:
             _fail("zero positions are nonnegative integers", f"{location}[{i}]")
         out.add(k)
     return frozenset(out)
+
+
+def _format_point(p: Point) -> list[str]:
+    return [format_rational(c) for c in p.coords]
+
+
+#: Each kind's "data" keys in constructor order, each with its reader (value, model
+#: dimension, location) and its writer of the family attribute of the key's name.
+_DATA = {
+    FiniteFamily: {"points": (_parse_points, lambda pts: [_format_point(p) for p in pts])},
+    IntegerRow: {"t0": (lambda value, _, loc: _parse_rational(value, loc), format_rational)},
+    HarmonicPair: {"center": (_parse_point, _format_point)},
+    DifferenceRow: {"zeros_a": (_parse_zero_set, sorted), "zeros_b": (_parse_zero_set, sorted)},
+}
+_KINDS = {name: cls for cls, name in KIND_NAMES.items()}
 
 
 def _parse_family(entry, dimension: int, scenarios: set, index: int):
@@ -123,31 +138,16 @@ def _parse_family(entry, dimension: int, scenarios: set, index: int):
         _fail("a pair needs two distinct scenarios", f"{loc}.pair")
 
     kind = _expect(entry["kind"], str, "a kind string", f"{loc}.kind")
-    if kind not in KIND_NAMES.values():
-        _fail(f"unknown kind {_quoted(kind)}; known kinds: {', '.join(KIND_NAMES.values())}",
-              f"{loc}.kind")
+    if kind not in _KINDS:
+        _fail(f"unknown kind {_quoted(kind)}; known kinds: {', '.join(_KINDS)}", f"{loc}.kind")
     data = _expect(entry["data"], dict, "a data object", f"{loc}.data")
-    dloc = f"{loc}.data"
-    if kind != "finite" and dimension != 2:
+    cls = _KINDS[kind]
+    if cls is not FiniteFamily and dimension != 2:
         _fail("this family kind requires model dimension 2", f"{loc}.kind")
-
-    if kind == "finite":
-        _expect_keys(data, {"points"}, set(), dloc)
-        raw = _expect(data["points"], list, "an array of points", f"{dloc}.points")
-        pts = tuple(
-            _parse_point(p, dimension, f"{dloc}.points[{i}]") for i, p in enumerate(raw))
-        family: SplittingFamily = FiniteFamily(pts)
-    elif kind == "integer_row":
-        _expect_keys(data, {"t0"}, set(), dloc)
-        family = IntegerRow(_parse_rational(data["t0"], f"{dloc}.t0"))
-    elif kind == "harmonic_pair":
-        _expect_keys(data, {"center"}, set(), dloc)
-        family = HarmonicPair(_parse_point(data["center"], 2, f"{dloc}.center"))
-    else:
-        _expect_keys(data, {"zeros_a", "zeros_b"}, set(), dloc)
-        family = DifferenceRow(
-            _parse_zero_set(data["zeros_a"], f"{dloc}.zeros_a"),
-            _parse_zero_set(data["zeros_b"], f"{dloc}.zeros_b"))
+    fields = _DATA[cls]
+    _expect_keys(data, set(fields), set(), f"{loc}.data")
+    family = cls(*[read(data[key], dimension, f"{loc}.data.{key}")
+                   for key, (read, _) in fields.items()])
 
     return (pair[0], pair[1]), family
 
@@ -188,7 +188,8 @@ def dumps(model: Model) -> str:
         "dimension": model.dimension,
         "scenarios": list(model.scenarios),
         "families": [
-            {"pair": [a, b], "kind": family_kind(fam), "data": fam.file_data()}
+            {"pair": [a, b], "kind": family_kind(fam), "data": {
+                key: write(getattr(fam, key)) for key, (_, write) in _DATA[type(fam)].items()}}
             for (a, b), fam in model.entries
         ],
     }

@@ -76,6 +76,14 @@ def test_exclusion_witness_examples():
     assert exclusion_witness(ZeroSetScenario(frozenset({1, 4}))) == 0
 
 
+def test_first_one_is_the_least_position_holding_a_1():
+    for mask in range(1 << 7):
+        scenario = ZeroSetScenario(frozenset(n for n in range(7) if mask >> n & 1))
+        k = scenario.first_one()
+        assert scenario.bit(k) == 1 and all(scenario.bit(n) == 0 for n in range(k))
+        assert exclusion_witness(scenario) == k
+
+
 def test_exclusion_witness_verifies_exactly():
     model = BinaryRowModel()
     scenario = ZeroSetScenario(frozenset({0, 1, 5}))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import minkbranch as mb
-from minkbranch import oracle
+from minkbranch import binaryrow, oracle
 from minkbranch.binaryrow import SUPPORT_BUDGET
 from minkbranch.cli import build_parser, main
 from minkbranch.errors import _quoted
@@ -146,6 +146,34 @@ def test_counterexample_command(capsys):
     assert "binary-row chain to depth 3" in out
     assert "[centred-family] PASS" in out
     assert "first 1 at position" in out
+
+
+def test_counterexample_verifies_each_exclusion_witness_once(capsys, monkeypatch):
+    calls = []
+    witness = binaryrow.exclusion_witness
+
+    def counting(scenario, model=None):
+        calls.append(scenario)
+        return witness(scenario, model)
+
+    monkeypatch.setattr(binaryrow, "exclusion_witness", counting)
+    code, out, _ = run(capsys, ["counterexample", "--depth", "4", "--support", "3"])
+    assert code == 0 and "[centred-family] PASS" in out
+    assert len(calls) == len(set(calls)) == 8
+
+
+def test_oracle_csv_target_is_checked_before_the_scan(capsys, monkeypatch, tmp_path, two_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned for an unwritable target")
+
+    monkeypatch.setattr(oracle, "cross_check_scans", refuse)
+    for target in (tmp_path / "no" / "such" / "x.csv", tmp_path):
+        code, out, err = run(capsys, [
+            "oracle", "--model", two_path, "--box", "-1,1", "-1,1", "--step", "1/2",
+            "--csv", str(target),
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write")
 
 
 def test_oracle_command_with_csv(capsys, tmp_path, two_path):

@@ -158,7 +158,7 @@ def test_stored_form_is_the_lcm_form_of_every_constructed_point():
 
 def test_hash_and_equality_read_only_the_coordinates():
     p = point(F(1, 2), F(-3, 4), 5)
-    assert hash(p) == hash((p.coords,))
+    assert hash(p) == hash((p.form,))
     # the same coordinates from strings, Fractions or a non-reduced form
     for q in (point("1/2", "-3/4", "5/1"), Point((F(1, 2), F(-3, 4), F(5))),
               from_form(8, (4, -6, 40))):

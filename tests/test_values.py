@@ -46,7 +46,7 @@ class Case:
 
 CASES = [
     Case(Point, ("coords",), ((0, F(1, 2)),), "Point(0, 1/2)", [((0, 1),), ((1, F(1, 2)),)],
-         same=[(("0", "1/2"),)]),
+         same=[(("0", "1/2"),)], compared=("form",)),
     Case(FiniteFamily, ("points",), ((Q, P),), "FiniteFamily(points=(Point(0, 1), Point(0, 2)))",
          [((P,),)], same=[((P, Q, P),)]),
     Case(IntegerRow, ("t0",), (F(1, 2),), "IntegerRow(t0=Fraction(1, 2))", [(0,)],
